@@ -6,7 +6,6 @@
 
 #include "common/index.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "logic/analysis.h"
 #include "logic/builder.h"
 #include "sat/tseitin.h"
@@ -600,52 +599,12 @@ Result<AssignmentSet> EsoEvaluator::EvaluateScratch(const FormulaPtr& formula) {
   TupleIndexer idx(n, num_vars_);
   const std::size_t total = idx.NumTuples();
   stats_ = EsoEvalStats();
-  const std::size_t threads = options_.num_threads == 0
-                                  ? ThreadPool::DefaultThreads()
-                                  : options_.num_threads;
-  if (threads <= 1 || total <= 1) {
-    for (std::size_t r = 0; r < total; ++r) {
-      EsoEvalStats call;
-      auto holds = HoldsRank(formula, r, nullptr, &call);
-      if (!holds.ok()) return holds.status();
-      AccumulateStats(call, &stats_);
-      if (*holds) out.Set(r);
-    }
-  } else {
-    // Tuples are independent scratch solves; run them on the pool and fold
-    // outcome bits, stats, and the first error in rank order so the result
-    // is byte-identical to the serial sweep for every thread count.
-    std::vector<uint8_t> holds(total, 0);
-    std::vector<EsoEvalStats> calls(total);
-    std::vector<Status> errors(total, Status::OK());
-    ThreadPool pool(threads);
-    if (options_.governor != nullptr) {
-      pool.set_cancel_token(options_.governor->stop_flag());
-    }
-    pool.ParallelFor(total, RowGrain(total, threads, 1),
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                         auto h = HoldsRank(formula, r, nullptr, &calls[r]);
-                         if (!h.ok()) {
-                           errors[r] = h.status();
-                           continue;
-                         }
-                         holds[r] = *h ? 1 : 0;
-                       }
-                     });
-    // A trip makes the pool skip chunks, leaving their `holds` slots stale
-    // zeros; fail the sweep before folding rather than report a partial
-    // answer as complete.
-    if (options_.governor != nullptr && options_.governor->stopped()) {
-      return options_.governor->status();
-    }
-    for (std::size_t r = 0; r < total; ++r) {
-      if (!errors[r].ok()) return errors[r];
-    }
-    for (std::size_t r = 0; r < total; ++r) {
-      AccumulateStats(calls[r], &stats_);
-      if (holds[r]) out.Set(r);
-    }
+  for (std::size_t r = 0; r < total; ++r) {
+    EsoEvalStats call;
+    auto holds = HoldsRank(formula, r, nullptr, &call);
+    if (!holds.ok()) return holds.status();
+    AccumulateStats(call, &stats_);
+    if (*holds) out.Set(r);
   }
   stats_.sat_calls = total;
   stats_.groundings = total;

@@ -47,13 +47,6 @@ struct EsoEvalOptions {
   /// per-tuple scratch path (fresh grounding + fresh solver per tuple),
   /// kept as the ablation baseline; answers are byte-identical either way.
   bool incremental = true;
-  /// Thread count for the *scratch* answer sweep (tuples are independent,
-  /// so the per-tuple solves parallelize; results and stats are merged in
-  /// rank order and stay byte-identical for every value). 0 = auto
-  /// (BVQ_THREADS / hardware), 1 = serial. The incremental path is serial
-  /// by construction: it trades parallelism for the shared clause
-  /// database.
-  std::size_t num_threads = 1;
   /// Optional resource governor (not owned; must outlive the evaluator's
   /// public calls). Checked per grounding rank and inside every SAT call
   /// (propagated into solver.governor when that is unset); the grounded
@@ -133,7 +126,7 @@ class EsoEvaluator {
   /// solver (unless the caller already set one there).
   sat::SolverOptions SolverOptionsWithGovernor() const;
   /// One scratch SAT call for the assignment with rank `rank`; stats for
-  /// that call are written to `stats` (const: safe to run concurrently).
+  /// that call are written to `stats`.
   Result<bool> HoldsRank(const FormulaPtr& formula, std::size_t rank,
                          EsoWitness* witness, EsoEvalStats* stats) const;
 

@@ -641,6 +641,8 @@ namespace {
 // Decode-side sanity caps: a well-formed canon from any real formula stays
 // far below these; a corrupted one must not drive allocation or recursion.
 constexpr std::size_t kCanonMaxDepth = 4096;
+static_assert(kMaxFormulaDepth <= kCanonMaxDepth,
+              "every parsed formula must round-trip through the codec");
 constexpr std::uint64_t kCanonMaxCount = std::uint64_t{1} << 16;
 constexpr std::uint64_t kCanonMaxIndex = std::uint64_t{1} << 20;
 }  // namespace

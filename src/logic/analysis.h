@@ -19,6 +19,15 @@
 
 namespace bvq {
 
+/// Nesting limit for formulas read from text. ParseFormula and ParseQuery
+/// reject a formula whose tree height (edges on the longest root-to-leaf
+/// path) or parser nesting (`!`, quantifiers, `->`, parentheses, fixpoint
+/// brackets) exceeds it, with a ParseError naming the depth and the limit.
+/// Every recursive pass over a parsed formula (NNF, interning, Eval, the
+/// canonical codec) then stays well inside an 8 MiB stack, sanitized builds
+/// included.
+inline constexpr std::size_t kMaxFormulaDepth = 512;
+
 /// Free first-order variables of `formula` (indices).
 std::set<std::size_t> FreeVars(const FormulaPtr& formula);
 

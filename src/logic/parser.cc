@@ -1,5 +1,6 @@
 #include "logic/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <vector>
 
@@ -150,17 +151,24 @@ bool IsVarToken(const std::string& ident, std::size_t* index) {
   return true;
 }
 
+// A parsed subformula with its tree height (edges on the longest
+// root-to-leaf path), carried along so the height limit costs O(1) a node.
+struct Parsed {
+  FormulaPtr f;
+  std::size_t height = 0;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<FormulaPtr> Parse() {
     auto f = ParseIff();
-    if (!f.ok()) return f;
+    if (!f.ok()) return f.status();
     if (Cur().kind != TokKind::kEnd) {
       return Err("trailing input");
     }
-    return f;
+    return std::move(f->f);
   }
 
   Result<Query> ParseQueryText() {
@@ -223,7 +231,7 @@ class Parser {
     if (!f.ok()) return f.status();
     if (Cur().kind != TokKind::kEnd) return Err("trailing input");
     Query q;
-    q.formula = std::move(f).value();
+    q.formula = std::move(f->f);
     if (explicit_tuple) {
       q.answer_vars = std::move(answer_vars);
     } else {
@@ -278,58 +286,80 @@ class Parser {
     }
   }
 
-  Result<FormulaPtr> ParseIff() {
-    auto lhs = ParseImp();
-    if (!lhs.ok()) return lhs;
-    FormulaPtr out = std::move(lhs).value();
-    while (Accept(TokKind::kDArrow)) {
+  // kMaxFormulaDepth bounds both the parser's own recursion and the height
+  // of every node it builds, checked before the node exists: a deeper
+  // formula is rejected without ever being built (or destroyed) whole.
+  Status CheckDepth(std::size_t depth) const {
+    if (depth <= kMaxFormulaDepth) return Status::OK();
+    return Err(StrCat("formula depth ", depth, " exceeds the limit of ",
+                      kMaxFormulaDepth));
+  }
+
+  // Holds one level of parser recursion: `!`, quantifier bodies, the right
+  // side of `->`, parenthesized and bracketed bodies.
+  struct Nest {
+    explicit Nest(std::size_t& counter) : depth(counter) { ++depth; }
+    ~Nest() { --depth; }
+    std::size_t& depth;
+  };
+
+  Result<Parsed> Binary(FormulaKind kind, Parsed lhs, Parsed rhs) const {
+    const std::size_t height = std::max(lhs.height, rhs.height) + 1;
+    BVQ_RETURN_IF_ERROR(CheckDepth(height));
+    return Parsed{std::make_shared<BinaryFormula>(kind, std::move(lhs.f),
+                                                  std::move(rhs.f)),
+                  height};
+  }
+
+  Result<Parsed> ParseIff() {
+    auto out = ParseImp();
+    while (out.ok() && Accept(TokKind::kDArrow)) {
       auto rhs = ParseImp();
       if (!rhs.ok()) return rhs;
-      out = Iff(std::move(out), std::move(rhs).value());
+      out = Binary(FormulaKind::kIff, std::move(*out), std::move(*rhs));
     }
     return out;
   }
 
-  Result<FormulaPtr> ParseImp() {
+  Result<Parsed> ParseImp() {
     auto lhs = ParseOr();
-    if (!lhs.ok()) return lhs;
-    if (Accept(TokKind::kArrow)) {
-      auto rhs = ParseImp();  // right associative
-      if (!rhs.ok()) return rhs;
-      return Implies(std::move(lhs).value(), std::move(rhs).value());
-    }
-    return lhs;
+    if (!lhs.ok() || !Accept(TokKind::kArrow)) return lhs;
+    Nest nest(depth_);
+    BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
+    auto rhs = ParseImp();  // right associative
+    if (!rhs.ok()) return rhs;
+    return Binary(FormulaKind::kImplies, std::move(*lhs), std::move(*rhs));
   }
 
-  Result<FormulaPtr> ParseOr() {
-    auto lhs = ParseAnd();
-    if (!lhs.ok()) return lhs;
-    FormulaPtr out = std::move(lhs).value();
-    while (Accept(TokKind::kPipe)) {
+  Result<Parsed> ParseOr() {
+    auto out = ParseAnd();
+    while (out.ok() && Accept(TokKind::kPipe)) {
       auto rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
-      out = Or(std::move(out), std::move(rhs).value());
+      out = Binary(FormulaKind::kOr, std::move(*out), std::move(*rhs));
     }
     return out;
   }
 
-  Result<FormulaPtr> ParseAnd() {
-    auto lhs = ParseUnary();
-    if (!lhs.ok()) return lhs;
-    FormulaPtr out = std::move(lhs).value();
-    while (Accept(TokKind::kAmp)) {
+  Result<Parsed> ParseAnd() {
+    auto out = ParseUnary();
+    while (out.ok() && Accept(TokKind::kAmp)) {
       auto rhs = ParseUnary();
       if (!rhs.ok()) return rhs;
-      out = And(std::move(out), std::move(rhs).value());
+      out = Binary(FormulaKind::kAnd, std::move(*out), std::move(*rhs));
     }
     return out;
   }
 
-  Result<FormulaPtr> ParseUnary() {
+  Result<Parsed> ParseUnary() {
     if (Accept(TokKind::kBang)) {
+      Nest nest(depth_);
+      BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
       auto sub = ParseUnary();
       if (!sub.ok()) return sub;
-      return Not(std::move(sub).value());
+      const std::size_t height = sub->height + 1;
+      BVQ_RETURN_IF_ERROR(CheckDepth(height));
+      return Parsed{Not(std::move(sub->f)), height};
     }
     if (Cur().kind == TokKind::kIdent &&
         (Cur().text == "exists" || Cur().text == "forall")) {
@@ -338,10 +368,15 @@ class Parser {
       auto v = ExpectVar();
       if (!v.ok()) return v.status();
       BVQ_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.'"));
+      Nest nest(depth_);
+      BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
       auto body = ParseIff();  // maximal scope
       if (!body.ok()) return body;
-      return is_exists ? Exists(*v, std::move(body).value())
-                       : ForAll(*v, std::move(body).value());
+      const std::size_t height = body->height + 1;
+      BVQ_RETURN_IF_ERROR(CheckDepth(height));
+      return Parsed{is_exists ? Exists(*v, std::move(body->f))
+                              : ForAll(*v, std::move(body->f)),
+                    height};
     }
     if (Cur().kind == TokKind::kIdent && Cur().text == "exists2") {
       ++pos_;
@@ -354,15 +389,21 @@ class Parser {
       if (!ParseSizeT(Cur().text, &arity)) return Err("arity out of range");
       ++pos_;
       BVQ_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.'"));
+      Nest nest(depth_);
+      BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
       auto body = ParseIff();
       if (!body.ok()) return body;
-      return SoExists(name, arity, std::move(body).value());
+      const std::size_t height = body->height + 1;
+      BVQ_RETURN_IF_ERROR(CheckDepth(height));
+      return Parsed{SoExists(name, arity, std::move(body->f)), height};
     }
     return ParsePrimary();
   }
 
-  Result<FormulaPtr> ParsePrimary() {
+  Result<Parsed> ParsePrimary() {
     if (Accept(TokKind::kLParen)) {
+      Nest nest(depth_);
+      BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
       auto f = ParseIff();
       if (!f.ok()) return f;
       BVQ_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
@@ -385,24 +426,29 @@ class Parser {
       auto bound = ParseVarList();
       if (!bound.ok()) return bound.status();
       BVQ_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.'"));
+      Nest nest(depth_);
+      BVQ_RETURN_IF_ERROR(CheckDepth(depth_));
       auto body = ParseIff();
       if (!body.ok()) return body;
       BVQ_RETURN_IF_ERROR(Expect(TokKind::kRBracket, "']'"));
       auto args = ParseVarList();
       if (!args.ok()) return args.status();
-      return FormulaPtr(std::make_shared<FixpointFormula>(
-          op, name, std::move(*bound), std::move(body).value(),
-          std::move(*args)));
+      const std::size_t height = body->height + 1;
+      BVQ_RETURN_IF_ERROR(CheckDepth(height));
+      return Parsed{std::make_shared<FixpointFormula>(
+                        op, name, std::move(*bound), std::move(body->f),
+                        std::move(*args)),
+                    height};
     }
     if (Cur().kind == TokKind::kIdent) {
       const std::string ident = Cur().text;
       if (ident == "true") {
         ++pos_;
-        return True();
+        return Parsed{True()};
       }
       if (ident == "false") {
         ++pos_;
-        return False();
+        return Parsed{False()};
       }
       std::size_t v;
       if (IsVarToken(ident, &v)) {
@@ -410,22 +456,23 @@ class Parser {
         BVQ_RETURN_IF_ERROR(Expect(TokKind::kEquals, "'=' after variable"));
         auto rhs = ExpectVar();
         if (!rhs.ok()) return rhs.status();
-        return Eq(v, *rhs);
+        return Parsed{Eq(v, *rhs)};
       }
       // Atom.
       ++pos_;
       if (Cur().kind == TokKind::kLParen) {
         auto args = ParseVarList();
         if (!args.ok()) return args.status();
-        return Atom(ident, std::move(*args));
+        return Parsed{Atom(ident, std::move(*args))};
       }
-      return Atom(ident, {});  // bare 0-ary atom
+      return Parsed{Atom(ident, {})};  // bare 0-ary atom
     }
     return Err("expected formula");
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // current parser nesting (see Nest)
 };
 
 void Print(const FormulaPtr& f, std::string& out);

@@ -27,6 +27,9 @@ namespace bvq {
 ///               '(' vars ')'
 ///   var  := 'x' NUM                                  (x1 is index 0)
 ///
+/// Formulas nested deeper than kMaxFormulaDepth (logic/analysis.h) are a
+/// ParseError, so no client-supplied text can exhaust the stack.
+///
 /// Examples:
 ///   "exists x2 . E(x1,x2) & E(x2,x1)"
 ///   "[lfp T(x1,x2) . E(x1,x2) | exists x3 . (E(x1,x3) &

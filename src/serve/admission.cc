@@ -16,14 +16,6 @@ void AdmissionTicket::Release() {
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {}
 
-void AdmissionController::Configure(AdmissionOptions options) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options_ = options;
-  }
-  cv_.notify_all();
-}
-
 bool AdmissionController::Fits(std::size_t reserve_bytes) const {
   if (options_.max_concurrent_queries != 0 &&
       active_ >= options_.max_concurrent_queries) {

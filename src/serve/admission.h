@@ -118,18 +118,13 @@ class AdmissionController {
   AdmissionStats stats() const;
   const AdmissionOptions& options() const { return options_; }
 
-  /// Replaces the limits. Only safe while no admissions are being granted
-  /// concurrently with the call (waiters re-evaluate against the new
-  /// limits); intended for shell reconfiguration between queries.
-  void Configure(AdmissionOptions options);
-
  private:
   friend class AdmissionTicket;
   void Release(std::size_t bytes);
   // Whether a reserve fits right now. Caller holds mutex_.
   bool Fits(std::size_t reserve_bytes) const;
 
-  AdmissionOptions options_;
+  const AdmissionOptions options_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::uint64_t> waiters_;  // FIFO of waiter ids

@@ -70,6 +70,15 @@ std::string FormatRelation(const Relation& rel, std::size_t limit) {
   return os.str();
 }
 
+std::string FormatResultBlock(std::uint64_t id, const Status& status,
+                              const std::string& payload) {
+  if (status.ok()) {
+    return StrCat("result ", id, " ok\n", payload, "end ", id, "\n");
+  }
+  return StrCat("result ", id, " error ", StatusCodeName(status.code()),
+                "\n  ", status.ToString(), "\nend ", id, "\n");
+}
+
 Server::Server(ServeOptions options)
     : options_(options), admission_(options.admission) {
   const std::size_t lanes =
@@ -247,19 +256,6 @@ Status Server::BatchAddWithId(std::uint64_t id, const std::string& session,
   }
   it->second.queries.emplace_back(id, query);
   return Status::OK();
-}
-
-Result<std::uint64_t> Server::BatchAdd(const std::string& session,
-                                       const std::string& query) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    while (in_flight_.count(next_id_) != 0) ++next_id_;
-    id = next_id_++;
-  }
-  Status s = BatchAddWithId(id, session, query);
-  if (!s.ok()) return s;
-  return id;
 }
 
 Result<plan::BatchStats> Server::BatchEnd(
@@ -599,6 +595,17 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
   auto ok = [&](const std::string& detail) {
     EmitChunk(emit, StrCat("ok ", detail, "\n"));
   };
+  // Completion for `eval` and `batch ... end`. A fast query on another lane
+  // could finish before this thread emits the submit ack; waiting on `ack`
+  // pins the protocol order (ack, then block) so clients — and the shard
+  // router, whose byte-identity contract depends on it — never see them
+  // swapped.
+  auto block_after = [this, &emit](std::shared_future<void> ack) {
+    return [this, emit, ack](const EvalOutcome& o) {
+      ack.wait();
+      EmitChunk(emit, FormatResultBlock(o.id, o.status, o.payload));
+    };
+  };
 
   if (cmd == "quit") {
     closed_.store(true, std::memory_order_release);
@@ -744,32 +751,15 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     }
     std::string query;
     std::getline(is, query);
-    // A fast eval on another lane could emit its result block before this
-    // thread emits the submit ack; the gate pins the protocol order
-    // (ack, then block) so clients — and the shard router, whose
-    // byte-identity contract depends on it — never see them swapped.
-    auto acked = std::make_shared<std::promise<void>>();
-    std::shared_future<void> gate = acked->get_future().share();
-    Status s = EvalAsyncWithId(
-        id, name, query, [this, emit, id, gate](const EvalOutcome& o) {
-          gate.wait();
-          std::string block;
-          if (o.status.ok()) {
-            block = StrCat("result ", id, " ok\n", o.payload, "end ", id,
-                           "\n");
-          } else {
-            block = StrCat("result ", id, " error ",
-                           StatusCodeName(o.status.code()), "\n  ",
-                           o.status.ToString(), "\nend ", id, "\n");
-          }
-          EmitChunk(emit, block);
-        });
+    std::promise<void> acked;
+    Status s = EvalAsyncWithId(id, name, query,
+                               block_after(acked.get_future().share()));
     if (!s.ok()) {
-      acked->set_value();
+      acked.set_value();
       return err(StrCat("eval ", id, ": ", s.ToString()));
     }
     ok(StrCat("eval ", id));
-    acked->set_value();
+    acked.set_value();
     return;
   }
   if (cmd == "batch") {
@@ -800,26 +790,11 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
       return ok(StrCat("batch ", name, " eval ", id));
     }
     if (sub == "end") {
-      // Same ack gate as eval: the stats ok-line must reach the client
-      // before the first result block a fast worker could emit.
-      auto acked = std::make_shared<std::promise<void>>();
-      std::shared_future<void> gate = acked->get_future().share();
-      auto ended =
-          BatchEnd(name, [this, emit, gate](const EvalOutcome& o) {
-            gate.wait();
-            std::string block;
-            if (o.status.ok()) {
-              block = StrCat("result ", o.id, " ok\n", o.payload, "end ",
-                             o.id, "\n");
-            } else {
-              block = StrCat("result ", o.id, " error ",
-                             StatusCodeName(o.status.code()), "\n  ",
-                             o.status.ToString(), "\nend ", o.id, "\n");
-            }
-            EmitChunk(emit, block);
-          });
+      // The stats ok-line is this command's ack.
+      std::promise<void> acked;
+      auto ended = BatchEnd(name, block_after(acked.get_future().share()));
       if (!ended.ok()) {
-        acked->set_value();
+        acked.set_value();
         return err(StrCat("batch ", name, " end: ",
                           ended.status().ToString()));
       }
@@ -828,7 +803,7 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
                 " materialized=", ended->materialized,
                 " stages=", ended->stages,
                 " dedup=", FormatRatio(ended->dedup_ratio)));
-      acked->set_value();
+      acked.set_value();
       return;
     }
     return err(StrCat("batch ", name, ": expected begin|eval|end, got ",

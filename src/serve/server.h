@@ -30,6 +30,17 @@ namespace bvq::serve {
 /// "served result == direct result" a byte-level statement.
 std::string FormatRelation(const Relation& rel, std::size_t limit = 20);
 
+/// Renders one eval completion as the protocol's result block:
+///
+///   result <id> ok              result <id> error <StatusCodeName>
+///   <payload>           or        <status.ToString()>
+///   end <id>                    end <id>
+///
+/// The only place the block is built, so served, batched and router-made
+/// completions are byte-identical by construction.
+std::string FormatResultBlock(std::uint64_t id, const Status& status,
+                              const std::string& payload);
+
 /// The protocol `help` response: one chunk whose first line is `ok help`,
 /// followed by one indented usage line per command. Shared between the
 /// single-process Server and the ShardRouter (which answers `help` locally
@@ -72,42 +83,16 @@ struct EvalOutcome {
 /// and a registry of in-flight evaluations for remote cancellation.
 ///
 /// Two surfaces share this object: the library API (Open/EvalSync/
-/// EvalAsync/Cancel/...) used by bvqsh's `session` commands, tests, and the
-/// bench; and the newline-delimited request protocol (HandleLine) spoken by
-/// bvqserve over stdin or TCP:
-///
-///   open <session> [k=N] [threads=N] [memo=0|1] [deadline-ms=N]
-///        [mem-budget-mb=N] [session-deadline-ms=N]
-///        [session-mem-budget-mb=N] [reserve-mb=N] [cache=0|1]
-///        [cache-mb=N]
-///   domain <session> <n>
-///   rel <session> <name>/<arity> <v..> ; <v..> ;
-///   load <session> <path>
-///   eval <id> <session> <query>
-///   batch <session> begin
-///   batch <session> eval <id> <query>   (collected, not yet run)
-///   batch <session> end    (plan shared work, run all; one stats ok-line)
-///   cancel <id>
-///   close <session>
-///   cache <session> save <file>    (snapshot db-resolved entries)
-///   cache <session> restore <file> (prewarm from a snapshot)
-///   cache <session> on|off|clear   (cross-query answer cache switch;
-///                                   `clear` drops resident entries —
-///                                   mutations never need it, versions
-///                                   invalidate by key)
-///   stats [<session>]
-///   drain                  (block until every submitted eval completed)
-///   help                   (one-line usage per command)
-///   quit
+/// EvalAsync/Cancel/...) used by tests and the benches; and the
+/// newline-delimited request protocol (HandleLine), the one parser of
+/// serving commands, spoken by bvqserve over stdin or TCP and by bvqsh's
+/// `serve` command. Its grammar is what `help` answers
+/// (ProtocolHelpText()).
 ///
 /// Control responses are single lines (`ok ...` / `err ...`); eval
-/// completions arrive asynchronously as one atomically-emitted block
-///
-///   result <id> ok|error <StatusCodeName>
-///   <payload or error detail, indented>
-///   end <id>
-///
-/// so concurrent queries interleave at block granularity only.
+/// completions arrive asynchronously as one atomically-emitted result
+/// block (FormatResultBlock), so concurrent queries interleave at block
+/// granularity only.
 class Server {
  public:
   explicit Server(ServeOptions options = {});
@@ -154,9 +139,6 @@ class Server {
   /// already in flight or no batch is being collected.
   Status BatchAddWithId(std::uint64_t id, const std::string& session,
                         const std::string& query);
-  /// Same, with a server-assigned id.
-  Result<std::uint64_t> BatchAdd(const std::string& session,
-                                 const std::string& query);
   /// Plans and launches the pending batch; `done` is invoked once per query
   /// from worker threads, exactly as EvalAsync would. Returns the plan's
   /// stats (zero nodes / dedup 1.0 when planning was skipped: batch=0 kill
@@ -179,9 +161,6 @@ class Server {
   SessionManager& sessions() { return sessions_; }
   AdmissionController& admission() { return admission_; }
   const ServeOptions& options() const { return options_; }
-
-  /// One-line machine-greppable stats: aggregate, or one session's.
-  Result<std::string> StatsLine(const std::string& session = "") const;
 
   // ---- Protocol ----------------------------------------------------------
 
@@ -218,6 +197,8 @@ class Server {
                   EvalOutcome outcome,
                   const std::function<void(const EvalOutcome&)>& done);
   void Submit(std::function<void()> task);
+  // The `stats` response: aggregate, or one session's.
+  Result<std::string> StatsLine(const std::string& session) const;
   void WorkerLoop();
   // Serializes protocol emits across handler and worker threads.
   void EmitChunk(const Emit& emit, const std::string& chunk);

@@ -983,15 +983,14 @@ void ShardRouter::HandleWorkerDown(std::size_t shard) {
       }
     }
   }
-  const std::string detail =
-      Status::Unavailable(StrCat("shard ", shard, " down")).ToString();
+  const Status unavailable =
+      Status::Unavailable(StrCat("shard ", shard, " down"));
   for (const auto& [iid, route] : dead) {
     {
       std::lock_guard<std::mutex> lock(route.client->mutex);
       route.client->inflight.erase(iid);
     }
-    route.client->emit(StrCat("result ", route.orig, " error Unavailable\n  ",
-                              detail, "\nend ", route.orig, "\n"));
+    route.client->emit(FormatResultBlock(route.orig, unavailable, ""));
   }
   if (pid > 0) ::waitpid(pid, nullptr, 0);
   if (!closing_.load(std::memory_order_acquire)) {

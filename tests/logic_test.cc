@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "logic/analysis.h"
 #include "logic/builder.h"
@@ -118,6 +119,53 @@ TEST(ParserTest, ParenthesizedFormulaIsNotATuple) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q->formula->kind(), FormulaKind::kEquals);
   EXPECT_EQ(q->answer_vars.size(), 2u);
+}
+
+std::string Repeat(const std::string& s, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// One nesting shape around the atom E(x1,x1), `depth` levels deep: its
+// tree height or parser nesting (whichever the shape grows) is `depth`.
+std::string Nested(const std::string& shape, std::size_t depth) {
+  const std::string atom = "E(x1,x1)";
+  if (shape == "!") return Repeat("!", depth) + atom;
+  if (shape == "()") return Repeat("(", depth) + atom + Repeat(")", depth);
+  if (shape == "exists") return Repeat("exists x1 . ", depth) + atom;
+  if (shape == "&") return atom + Repeat(" & " + atom, depth);
+  if (shape == "->") return atom + Repeat(" -> " + atom, depth);
+  if (shape == "lfp") {
+    return Repeat("[lfp T(x1) . ", depth) + atom + Repeat("](x1)", depth);
+  }
+  // "!&": a negated & chain, whose height only the node check can see.
+  return "!(" + atom + Repeat(" & " + atom, depth - 1) + ")";
+}
+
+TEST(ParserTest, DepthLimitIsExactForEveryShape) {
+  const std::string over_limit =
+      StrCat("formula depth ", kMaxFormulaDepth + 1, " exceeds the limit of ",
+             kMaxFormulaDepth);
+  for (const char* shape : {"!", "()", "exists", "&", "->", "lfp", "!&"}) {
+    SCOPED_TRACE(shape);
+    auto at_limit = ParseFormula(Nested(shape, kMaxFormulaDepth));
+    EXPECT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+    auto over = ParseFormula(Nested(shape, kMaxFormulaDepth + 1));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+    EXPECT_NE(over.status().message().find(over_limit), std::string::npos)
+        << over.status().ToString();
+  }
+}
+
+TEST(ParserTest, DeepInputIsAParseErrorNotACrash) {
+  for (const std::string& text :
+       {Nested("!", 10000), Nested("()", 10000), Nested("&", 20000)}) {
+    auto q = ParseQuery("(x1) " + text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  }
 }
 
 // --- analysis ---------------------------------------------------------------

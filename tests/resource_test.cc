@@ -466,7 +466,6 @@ TEST(GovernedEsoTest, IncrementalSweepHonoursCancellationAndRerunsClean) {
   for (bool incremental : {true, false}) {
     EsoEvalOptions opts;
     opts.incremental = incremental;
-    opts.num_threads = incremental ? 1 : 4;
     EsoEvaluator ungoverned(db, 2, opts);
     auto expected = ungoverned.Evaluate(*f);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();

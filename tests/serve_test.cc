@@ -1631,6 +1631,10 @@ TEST(ShardRouterTest, RoutedBatchIsByteIdenticalToDirectServer) {
       StrCat("err batch ", session,
              " eval 9: InvalidArgument: query id 9 is already in flight\n")))
       << client.All();
+  // Shut down while `client` is alive: the never-ended batch's id 9 is
+  // completed as Unavailable when its worker exits, and that block is
+  // emitted to `client`.
+  harness.router().Shutdown();
 }
 
 // --- cache clear racing a running eval -------------------------------------

@@ -1,22 +1,6 @@
 // bvqserve — the bvq serving layer over a newline-delimited request
-// protocol (see src/serve/server.h for the full grammar):
-//
-//   open <session> [k=N] [threads=N] [memo=0|1] [deadline-ms=N]
-//        [mem-budget-mb=N] [session-deadline-ms=N]
-//        [session-mem-budget-mb=N] [reserve-mb=N]
-//   domain <session> <n>
-//   rel <session> <name>/<arity> <v..> ; <v..> ;
-//   load <session> <path>
-//   eval <id> <session> <query>       (async; completion is a result block)
-//   batch <session> begin
-//   batch <session> eval <id> <query> (collected, not yet run)
-//   batch <session> end    (plan shared work, run all; one stats ok-line)
-//   cancel <id>
-//   close <session>
-//   stats [<session>]
-//   drain                  (block until every submitted eval completed)
-//   help                   (one-line usage per command)
-//   quit
+// protocol. Send `help` for its grammar (serve::ProtocolHelpText(), the
+// one copy); an `eval` completes asynchronously as a result block.
 //
 // Modes:
 //   bvqserve [script]      read requests from stdin (or a script file),
@@ -27,6 +11,8 @@
 //                          (sessions, admission, executor). A client
 //                          disconnect cancels that connection's in-flight
 //                          queries (remote cancellation via CancelHandle).
+//                          A line still unterminated past 16 MiB gets
+//                          `err line too long` and the connection closed.
 //   bvqserve --shards=N    router mode (DESIGN.md §12): fork/exec N worker
 //                          processes, hash each session onto one, forward
 //                          its lines there, demultiplex result blocks back.
@@ -70,6 +56,10 @@
 namespace {
 
 using namespace bvq;
+
+// Longest request line a TCP client may send. Real request lines are far
+// shorter; bulk data goes through `load`.
+constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
 
 // Extracts the query id from an "eval <id> ..." or "batch <s> eval <id> ..."
 // request so a connection can cancel its own in-flight work on disconnect.
@@ -304,22 +294,26 @@ int ServeTcp(FrontEnd& fe, int port) {
         }
       };
       const FrontEnd::Conn fe_conn = fe.Connect(write_all);
-      std::string buffer, line;
+      std::string buffer;  // bytes received since the last newline
       char chunk[4096];
       bool open = true;
       while (open && !fe.closed()) {
         const ssize_t n = ::recv(state->fd, chunk, sizeof(chunk), 0);
         if (n <= 0) break;
+        // Only the new bytes can hold a newline. Lines are handled in place
+        // and the consumed prefix dropped once per recv, not once per line.
+        std::size_t head = 0;
+        std::size_t nl = buffer.size();
         buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          line = buffer.substr(0, nl);
-          buffer.erase(0, nl + 1);
-          fe.Handle(fe_conn, line);
-          if (fe.closed()) {
-            open = false;
-            break;
-          }
+        while (open && (nl = buffer.find('\n', nl)) != std::string::npos) {
+          fe.Handle(fe_conn, buffer.substr(head, nl - head));
+          head = ++nl;
+          open = !fe.closed();
+        }
+        buffer.erase(0, head);
+        if (buffer.size() > kMaxLineBytes) {
+          write_all("err line too long\n");
+          break;
         }
       }
       // Client disconnect → cancel whatever it left running.

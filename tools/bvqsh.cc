@@ -23,26 +23,14 @@
 //   stats on|off                print memo/hoist counters after eval
 //   deadline <ms>               per-query wall-clock deadline (0 = none)
 //   membudget <mb>              per-query memory budget in MiB (0 = none)
-//   session limits <agg-mb> <max-conc> [wait-ms]   configure admission
-//   session open <name> [key=value..]  open a served session (snapshots the
-//                               current db, k, options; keys: k, threads,
-//                               deadline-ms, mem-budget-mb,
-//                               session-deadline-ms, session-mem-budget-mb,
-//                               reserve-mb, cache, cache-mb)
-//   session eval <name> <query> evaluate through the serving layer
-//                               (admission + composite session token)
-//   session stats [<name>]      admission / per-session counters
-//   session close <name>        close a session
-//   session list                list open sessions
-//   session shard <n> <name>..  plan placements: which of n router shards
+//   serve <protocol line>       hand one line of bvqserve's protocol
+//                               (`serve help` lists it) to an in-process
+//                               server and print its responses once every
+//                               query it started has finished; `err` lines
+//                               and error result blocks are shell errors
+//   shard <n> <name>..          plan placements: which of n router shards
 //                               each session name hashes onto (the same
 //                               FNV-1a placement bvqserve --shards=n uses)
-//   batch <name> begin          start collecting a batch for a session
-//   batch <name> eval <query>   add a query to the batch (not yet run)
-//   batch <name> end            plan shared subformulas (DESIGN.md §14),
-//                               run the batch, print results in submission
-//                               order — byte-identical to serial
-//                               `session eval` runs
 //   source <file>               run commands from a file; unlike script
 //                               mode, stops at the first error and reports
 //                               it with file:line context
@@ -53,6 +41,9 @@
 //   esoinc on|off               incremental ESO sweep (default on)
 //   datalog <file>              run a Datalog program against the database
 //   quit
+//
+// Switch commands accept exactly the words listed; anything else is an
+// error, never a silent default.
 //
 // Flags: --threads=N sets the initial thread count (same as the `threads`
 // command; results are byte-identical for every N), --memo=0|1 the
@@ -77,18 +68,13 @@
 //        exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)
 
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/resource.h"
@@ -124,20 +110,18 @@ struct ShellState {
   bool cross_query_cache = true;
   bool print_stats = false;  // extra memo/hoist counter line after eval
   bool had_error = false;    // any error seen; drives the exit code
-  std::string pending_rel_lines;  // accumulated "rel" lines for ParseDatabase
-  // Serving layer behind the `session` commands; created on first use so a
-  // shell that never touches sessions spawns no executor threads.
+  // The server behind `serve`; created on first use so a shell that never
+  // serves spawns no executor thread.
   std::unique_ptr<serve::Server> server;
-  // Queries collected by `batch <name> eval` since the matching `begin`,
-  // in submission order, so `end` can print results in that order (ids are
-  // server-assigned; the Server holds the batch itself).
-  std::map<std::string, std::vector<std::pair<std::uint64_t, std::string>>>
-      batch_queries;
 };
 
 serve::Server& ServerRef(ShellState& state) {
   if (state.server == nullptr) {
-    state.server = std::make_unique<serve::Server>();
+    // One lane: the shell is sequential, and a batch's queries then run
+    // (and report) in submission order.
+    serve::ServeOptions options;
+    options.executor_threads = 1;
+    state.server = std::make_unique<serve::Server>(options);
   }
   return *state.server;
 }
@@ -168,6 +152,33 @@ bool ParseNumArg(ShellState& state, const std::string& cmd,
        tok.empty() ? "missing numeric argument"
                    : "expected a whole non-negative number, got '" + tok + "'");
   return false;
+}
+
+// Strict switch argument: the whole argument must be one of `words`, whose
+// index lands in *out. A typo, a missing word or a trailing token is
+// reported via Fail instead of silently picking a mode.
+bool ParseWordArg(ShellState& state, const std::string& cmd,
+                  const std::string& rest,
+                  const std::vector<std::string>& words, std::size_t* out) {
+  const std::string tok(StripAsciiWhitespace(rest));
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (tok == words[i]) {
+      *out = i;
+      return true;
+    }
+  }
+  Fail(state, tok.empty() ? cmd : cmd + " " + tok,
+       "expected " + StrJoin(words, "|") +
+           (tok.empty() ? "" : ", got '" + tok + "'"));
+  return false;
+}
+
+bool ParseOnOff(ShellState& state, const std::string& cmd,
+                const std::string& rest, bool* on) {
+  std::size_t word = 0;
+  if (!ParseWordArg(state, cmd, rest, {"on", "off"}, &word)) return false;
+  *on = word == 0;
+  return true;
 }
 
 // One bracketed line so output filters that drop "  [" timing lines (the
@@ -232,9 +243,8 @@ void Help() {
       "commands: help | domain <n> | rel <name>/<arity> t.. ; | load <f> | "
       "show | k <n> |\n          strategy naive|reuse | pfp hash|floyd | "
       "threads <n> | memo on|off |\n          esoinc on|off | stats on|off | "
-      "deadline <ms> | membudget <mb> |\n          session "
-      "limits|open|eval|stats|close|list|shard ... |\n          batch <name> "
-      "begin|eval|end | source <f> |\n          eval <q> | "
+      "deadline <ms> | membudget <mb> |\n          serve <protocol line> | "
+      "shard <n> <name>.. | source <f> |\n          eval <q> | "
       "naive <q> | eso <q> | esoall <q> | datalog <f> | quit\n");
 }
 
@@ -323,42 +333,45 @@ bool HandleLine(ShellState& state, const std::string& line) {
     return true;
   }
   if (cmd == "strategy") {
-    if (rest.find("reuse") != std::string::npos) {
-      state.options.fixpoint_strategy = FixpointStrategy::kMonotoneReuse;
-      std::printf("fixpoint strategy: monotone reuse\n");
-    } else {
-      state.options.fixpoint_strategy = FixpointStrategy::kNaiveNested;
-      std::printf("fixpoint strategy: naive nested\n");
+    std::size_t reuse = 0;
+    if (!ParseWordArg(state, cmd, rest, {"naive", "reuse"}, &reuse)) {
+      return true;
     }
+    state.options.fixpoint_strategy = reuse ? FixpointStrategy::kMonotoneReuse
+                                            : FixpointStrategy::kNaiveNested;
+    std::printf("fixpoint strategy: %s\n",
+                reuse ? "monotone reuse" : "naive nested");
     return true;
   }
   if (cmd == "pfp") {
-    if (rest.find("floyd") != std::string::npos) {
-      state.options.pfp_cycle_detection = PfpCycleDetection::kFloyd;
-      std::printf("pfp cycle detection: floyd\n");
-    } else {
-      state.options.pfp_cycle_detection = PfpCycleDetection::kHashHistory;
-      std::printf("pfp cycle detection: hash history\n");
+    std::size_t floyd = 0;
+    if (!ParseWordArg(state, cmd, rest, {"hash", "floyd"}, &floyd)) {
+      return true;
     }
+    state.options.pfp_cycle_detection = floyd
+                                            ? PfpCycleDetection::kFloyd
+                                            : PfpCycleDetection::kHashHistory;
+    std::printf("pfp cycle detection: %s\n", floyd ? "floyd" : "hash history");
     return true;
   }
   if (cmd == "threads") {
     std::size_t n = 0;
     if (!ParseNumArg(state, cmd, rest, &n)) return true;
     state.options.num_threads = n;
-    state.eso_options.num_threads = n;  // scratch ESO sweep only
     std::printf("threads = %zu%s\n", n,
                 n == 0 ? " (auto)" : (n == 1 ? " (serial)" : ""));
     return true;
   }
   if (cmd == "esoinc") {
-    state.eso_options.incremental = rest.find("off") == std::string::npos;
+    if (!ParseOnOff(state, cmd, rest, &state.eso_options.incremental)) {
+      return true;
+    }
     std::printf("eso incremental = %s\n",
                 state.eso_options.incremental ? "on" : "off");
     return true;
   }
   if (cmd == "memo") {
-    state.options.memo = rest.find("off") == std::string::npos;
+    if (!ParseOnOff(state, cmd, rest, &state.options.memo)) return true;
     std::printf("memo = %s\n", state.options.memo ? "on" : "off");
     return true;
   }
@@ -397,17 +410,21 @@ bool HandleLine(ShellState& state, const std::string& line) {
       }
       return true;
     }
-    if (rest.find("clear") != std::string::npos) {
+    std::size_t word = 0;
+    if (!ParseWordArg(state, cmd, rest, {"on", "off", "clear"}, &word)) {
+      return true;
+    }
+    if (word == 2) {
       state.answer_cache.Clear();
       std::printf("cache cleared\n");
     } else {
-      state.cross_query_cache = rest.find("off") == std::string::npos;
+      state.cross_query_cache = word == 0;
       std::printf("cache = %s\n", state.cross_query_cache ? "on" : "off");
     }
     return true;
   }
   if (cmd == "stats") {
-    state.print_stats = rest.find("off") == std::string::npos;
+    if (!ParseOnOff(state, cmd, rest, &state.print_stats)) return true;
     std::printf("stats = %s\n", state.print_stats ? "on" : "off");
     return true;
   }
@@ -426,269 +443,57 @@ bool HandleLine(ShellState& state, const std::string& line) {
     std::printf("membudget = %zu MiB%s\n", mb, mb == 0 ? " (none)" : "");
     return true;
   }
-  if (cmd == "session") {
-    std::istringstream ss(rest);
-    std::string sub;
-    if (!(ss >> sub)) {
-      Fail(state, "session",
-           "expected: limits|open|eval|stats|close|list|shard");
+  if (cmd == "serve") {
+    const std::string request(StripAsciiWhitespace(rest));
+    if (request.empty()) {
+      Fail(state, cmd, "expected a protocol line (try: serve help)");
       return true;
     }
-    if (sub == "limits") {
-      std::string agg_tok, conc_tok, wait_tok;
-      std::size_t agg_mb = 0, max_conc = 0, wait_ms = 0;
-      ss >> agg_tok >> conc_tok;
-      if (!ParseSizeT(agg_tok, &agg_mb) || !ParseSizeT(conc_tok, &max_conc) ||
-          (ss >> wait_tok && !ParseSizeT(wait_tok, &wait_ms))) {
-        Fail(state, "session " + std::string(TrimLeft(rest)),
-             "expected <aggregate-mb> <max-concurrent> [queue-wait-ms]");
-        return true;
+    // Server::HandleLine is the one parser of serving commands. Draining
+    // before printing keeps the shell sequential: every result block this
+    // line started is in `chunks`, after the line's own ack.
+    std::vector<std::string> chunks;
+    ServerRef(state).HandleLine(
+        request, [&chunks](const std::string& c) { chunks.push_back(c); });
+    state.server->Drain();
+    for (const std::string& chunk : chunks) {
+      const bool failed =
+          chunk.rfind("err ", 0) == 0 ||
+          (chunk.rfind("result ", 0) == 0 &&
+           chunk.find(" error ") < chunk.find('\n'));
+      if (failed) {
+        Fail(state, "serve " + request, chunk.substr(0, chunk.size() - 1));
+      } else {
+        std::fwrite(chunk.data(), 1, chunk.size(), stdout);
       }
-      serve::AdmissionOptions admission;
-      admission.aggregate_mem_budget_bytes = agg_mb << 20;
-      admission.max_concurrent_queries = max_conc;
-      admission.queue_wait_ms = wait_ms;
-      ServerRef(state).admission().Configure(admission);
-      std::printf(
-          "admission: aggregate %zu MiB, %zu concurrent, %zu ms queue wait\n",
-          agg_mb, max_conc, wait_ms);
-      return true;
     }
-    if (sub == "open") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session open", "missing session name");
-        return true;
-      }
-      // The session snapshots the shell's current database, k, evaluator
-      // options, and per-query limits; key=value arguments override.
-      serve::SessionOptions so;
-      so.num_vars = state.num_vars;
-      so.eval = state.options;
-      so.eval.governor = nullptr;
-      so.query_limits = state.limits;
-      std::string kv;
-      while (ss >> kv) {
-        const auto eq = kv.find('=');
-        std::size_t value = 0;
-        if (eq == std::string::npos ||
-            !ParseSizeT(std::string_view(kv).substr(eq + 1), &value)) {
-          Fail(state, "session open " + name,
-               "expected key=<number>, got '" + kv + "'");
-          return true;
-        }
-        const std::string key = kv.substr(0, eq);
-        if (key == "k") {
-          so.num_vars = value;
-        } else if (key == "threads") {
-          so.eval.num_threads = value;
-        } else if (key == "deadline-ms") {
-          so.query_limits.deadline_ms = value;
-        } else if (key == "mem-budget-mb") {
-          so.query_limits.mem_budget_bytes = value << 20;
-        } else if (key == "session-deadline-ms") {
-          so.session_limits.deadline_ms = value;
-        } else if (key == "session-mem-budget-mb") {
-          so.session_limits.mem_budget_bytes = value << 20;
-        } else if (key == "reserve-mb") {
-          so.admission_reserve_bytes = value << 20;
-        } else if (key == "cache") {
-          so.cross_query_cache = value != 0;
-        } else if (key == "cache-mb") {
-          so.cache_max_bytes = value << 20;
-        } else {
-          Fail(state, "session open " + name, "unknown option '" + kv + "'");
-          return true;
-        }
-      }
-      Status s = ServerRef(state).Open(name, so, state.db);
-      if (!s.ok()) {
-        Fail(state, "session open " + name, s);
-        return true;
-      }
-      std::printf("session %s open (k=%zu, domain %zu, %zu relations)\n",
-                  name.c_str(), so.num_vars, state.db.domain_size(),
-                  state.db.relations().size());
-      return true;
-    }
-    if (sub == "eval") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session eval", "expected <session> <query>");
-        return true;
-      }
-      std::string query;
-      std::getline(ss, query);
-      const auto outcome = ServerRef(state).EvalSync(name, query);
-      if (outcome.status.ok()) {
-        std::fwrite(outcome.payload.data(), 1, outcome.payload.size(),
-                    stdout);
-        std::printf("  [%0.2f ms eval, %0.2f ms queued; session %s]\n",
-                    outcome.eval_ms, outcome.queue_wait_ms, name.c_str());
-      }
-      if (state.print_stats) PrintResourceStats(outcome.resource);
-      if (!outcome.status.ok()) {
-        Fail(state, "session eval " + name + query, outcome.status);
-      }
-      return true;
-    }
-    if (sub == "stats") {
-      std::string name;
-      ss >> name;  // optional
-      auto stats = ServerRef(state).StatsLine(name);
-      if (!stats.ok()) {
-        Fail(state, "session stats " + name, stats.status());
-        return true;
-      }
-      std::printf("%s\n", stats->c_str());
-      return true;
-    }
-    if (sub == "close") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session close", "missing session name");
-        return true;
-      }
-      Status s = ServerRef(state).Close(name);
-      if (!s.ok()) {
-        Fail(state, "session close " + name, s);
-        return true;
-      }
-      std::printf("session %s closed\n", name.c_str());
-      return true;
-    }
-    if (sub == "list") {
-      const auto names = ServerRef(state).sessions().Names();
-      std::printf("%zu session(s)%s%s\n", names.size(),
-                  names.empty() ? "" : ": ",
-                  StrJoin(names, ", ").c_str());
-      return true;
-    }
-    if (sub == "shard") {
-      // Placement planning for `bvqserve --shards=n`: prints the shard each
-      // name hashes onto, using the router's own FNV-1a placement so the
-      // plan is exact, not a simulation.
-      std::string shards_tok;
-      std::size_t shards = 0;
-      if (!(ss >> shards_tok) || !ParseSizeT(shards_tok, &shards) ||
-          shards == 0) {
-        Fail(state, "session shard",
-             "expected <num-shards> <session-name>...");
-        return true;
-      }
-      std::vector<std::string> names;
-      std::string name;
-      while (ss >> name) names.push_back(name);
-      if (names.empty()) {
-        Fail(state, "session shard",
-             "expected <num-shards> <session-name>...");
-        return true;
-      }
-      std::vector<std::size_t> per_shard(shards, 0);
-      for (const auto& n : names) {
-        const std::size_t shard = serve::ShardForSession(n, shards);
-        ++per_shard[shard];
-        std::printf("%s -> shard %zu\n", n.c_str(), shard);
-      }
-      std::size_t used = 0;
-      for (std::size_t c : per_shard) used += c > 0 ? 1 : 0;
-      std::printf("%zu session(s) over %zu of %zu shard(s)\n", names.size(),
-                  used, shards);
-      return true;
-    }
-    Fail(state, "session " + sub,
-         "unknown subcommand (limits|open|eval|stats|close|list|shard)");
     return true;
   }
-  if (cmd == "batch") {
-    std::istringstream bs(rest);
-    std::string name, sub;
-    if (!(bs >> name) || !(bs >> sub)) {
-      Fail(state, "batch", "expected: batch <session> begin|eval|end");
+  if (cmd == "shard") {
+    // Placement planning for `bvqserve --shards=n`: prints the shard each
+    // name hashes onto, using the router's own FNV-1a placement so the
+    // plan is exact, not a simulation.
+    std::istringstream ss(rest);
+    std::string shards_tok;
+    std::size_t shards = 0;
+    std::vector<std::string> names;
+    if (ss >> shards_tok && ParseSizeT(shards_tok, &shards) && shards > 0) {
+      for (std::string name; ss >> name;) names.push_back(name);
+    }
+    if (names.empty()) {
+      Fail(state, cmd + rest, "expected <num-shards> <session-name>...");
       return true;
     }
-    if (sub == "begin") {
-      Status s = ServerRef(state).BatchBegin(name);
-      if (!s.ok()) {
-        Fail(state, "batch " + name + " begin", s);
-        return true;
-      }
-      state.batch_queries[name].clear();
-      std::printf("batch %s: collecting\n", name.c_str());
-      return true;
+    std::vector<std::size_t> per_shard(shards, 0);
+    for (const auto& n : names) {
+      const std::size_t shard = serve::ShardForSession(n, shards);
+      ++per_shard[shard];
+      std::printf("%s -> shard %zu\n", n.c_str(), shard);
     }
-    if (sub == "eval") {
-      std::string query;
-      std::getline(bs, query);
-      auto id = ServerRef(state).BatchAdd(name, query);
-      if (!id.ok()) {
-        Fail(state, "batch " + name + " eval" + query, id.status());
-        return true;
-      }
-      state.batch_queries[name].emplace_back(*id, query);
-      std::printf("batch %s: %zu quer%s collected\n", name.c_str(),
-                  state.batch_queries[name].size(),
-                  state.batch_queries[name].size() == 1 ? "y" : "ies");
-      return true;
-    }
-    if (sub == "end") {
-      std::vector<std::pair<std::uint64_t, std::string>> queries;
-      const auto bit = state.batch_queries.find(name);
-      if (bit != state.batch_queries.end()) {
-        queries = std::move(bit->second);
-        state.batch_queries.erase(bit);
-      }
-      // Completions arrive from worker threads in any order; collect them
-      // by id and print in submission order once every query reported.
-      struct Collector {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::map<std::uint64_t, serve::EvalOutcome> outcomes;
-      };
-      auto collector = std::make_shared<Collector>();
-      const auto start = now();
-      auto stats = ServerRef(state).BatchEnd(
-          name, [collector](const serve::EvalOutcome& outcome) {
-            {
-              std::lock_guard<std::mutex> lock(collector->mutex);
-              collector->outcomes[outcome.id] = outcome;
-            }
-            collector->cv.notify_all();
-          });
-      if (!stats.ok()) {
-        Fail(state, "batch " + name + " end", stats.status());
-        return true;
-      }
-      {
-        std::unique_lock<std::mutex> lock(collector->mutex);
-        collector->cv.wait(lock, [&] {
-          return collector->outcomes.size() >= queries.size();
-        });
-      }
-      const auto stop = now();
-      for (const auto& [id, query] : queries) {
-        const serve::EvalOutcome& outcome = collector->outcomes[id];
-        if (outcome.status.ok()) {
-          std::fwrite(outcome.payload.data(), 1, outcome.payload.size(),
-                      stdout);
-          std::printf("  [%0.2f ms eval, %0.2f ms queued; session %s]\n",
-                      outcome.eval_ms, outcome.queue_wait_ms, name.c_str());
-        } else {
-          Fail(state, "batch " + name + " eval" + query, outcome.status);
-        }
-      }
-      // Bracketed like the timing counters so determinism filters that
-      // drop "  [" lines compare payloads only.
-      std::printf(
-          "  [batch: %zu queries, %zu nodes (%zu shared, %zu materialized), "
-          "%zu stages, dedup %0.2f; %0.2f ms]\n",
-          stats->queries, stats->nodes, stats->shared_nodes,
-          stats->materialized, stats->stages, stats->dedup_ratio,
-          ms(start, stop));
-      return true;
-    }
-    Fail(state, "batch " + name + " " + sub,
-         "unknown subcommand (begin|eval|end)");
+    std::size_t used = 0;
+    for (std::size_t c : per_shard) used += c > 0 ? 1 : 0;
+    std::printf("%zu session(s) over %zu of %zu shard(s)\n", names.size(),
+                used, shards);
     return true;
   }
   if (cmd == "source") {
@@ -926,7 +731,6 @@ int main(int argc, char** argv) {
     std::size_t v = 0;
     if (numeric_flag(&i, arg, "--threads", &v)) {
       state.options.num_threads = v;
-      state.eso_options.num_threads = v;
     } else if (numeric_flag(&i, arg, "--memo", &v)) {
       state.options.memo = v != 0;
     } else if (numeric_flag(&i, arg, "--cross-query-cache", &v)) {

@@ -33,6 +33,13 @@
 # cache-off serial run of the same queries — both direct and through a
 # 2-shard router (batches are session-affine, so routing must not change a
 # single byte).
+#
+# Every tier also runs the nesting and long-line smoke (see deep_smoke
+# below): the formulas that used to overflow the stack come back as one
+# ParseError each while the session keeps answering, direct and routed; the
+# same shapes at the depth limit still evaluate on that tier's stack; an
+# endless TCP line gets `err line too long` while other connections keep
+# serving; and bvqsh drives its in-process server through `serve`.
 
 set -euo pipefail
 
@@ -50,6 +57,12 @@ gen_counter() {
   done
   printf 'domain %s\nrel Lt/2%s\nk 2\npfp %s\n' "$n" "$pairs" "$mode"
   printf 'eval (x1) [pfp X(x1) . !(X(x1) <-> forall x2 . (Lt(x2,x1) -> X(x2)))](x1)\n'
+}
+
+# Prints the payload of the `result <id> ok` block in bvqserve output <file>.
+payload() {
+  awk -v id="$2" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
+      "$1"
 }
 
 resource_smoke() {
@@ -259,10 +272,6 @@ batch_smoke() {
       cat "$tmp/serial.out" >&2; exit 1
     fi
   done
-  payload() {
-    awk -v id="$2" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
-        "$1"
-  }
   for mode in direct routed; do
     rc=0
     if [[ $mode == direct ]]; then
@@ -366,15 +375,13 @@ cache_smoke() {
     echo "cache smoke: session stats report no cache hits" >&2
     cat "$tmp/serve.out" >&2; exit 1
   fi
-  payload() {
-    awk -v id="$1" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
-        "$tmp/serve.out"
-  }
-  if [[ "$(payload 1)" != "$(payload 2)" ]]; then
+  if [[ "$(payload "$tmp/serve.out" 1)" != \
+        "$(payload "$tmp/serve.out" 2)" ]]; then
     echo "cache smoke: warm replay differs from the cold answer" >&2
     cat "$tmp/serve.out" >&2; exit 1
   fi
-  if [[ "$(payload 1)" == "$(payload 3)" ]]; then
+  if [[ "$(payload "$tmp/serve.out" 1)" == \
+        "$(payload "$tmp/serve.out" 3)" ]]; then
     echo "cache smoke: eval after load served a stale answer" >&2
     cat "$tmp/serve.out" >&2; exit 1
   fi
@@ -451,15 +458,12 @@ persist_smoke() {
     echo "persist smoke: router exited with $rc" >&2
     cat "$tmp/out" "$tmp/err" >&2; exit 1
   fi
-  payload() {
-    awk -v id="$1" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
-        "$tmp/out"
-  }
-  if [[ -z "$(payload 1)" || -z "$(payload 3)" ]]; then
+  if [[ -z "$(payload "$tmp/out" 1)" || -z "$(payload "$tmp/out" 3)" ]]; then
     echo "persist smoke: missing result payloads" >&2
     cat "$tmp/out" >&2; exit 1
   fi
-  if [[ "$(payload 1)" != "$(payload 3)" || "$(payload 2)" != "$(payload 4)" ]]; then
+  if [[ "$(payload "$tmp/out" 1)" != "$(payload "$tmp/out" 3)" ||
+        "$(payload "$tmp/out" 2)" != "$(payload "$tmp/out" 4)" ]]; then
     echo "persist smoke: post-restart answers differ from pre-crash" >&2
     cat "$tmp/out" >&2; exit 1
   fi
@@ -471,6 +475,86 @@ persist_smoke() {
   rm -rf "$tmp"
 }
 
+# Nesting and long-line smoke. Three inputs that used to overflow the stack
+# (10,000 nested `!`, 10,000 nested parentheses, a 20,000-term `&` chain)
+# must each come back as exactly one ParseError result block, direct and
+# through a 2-shard router, while the same session keeps answering. The same
+# shapes at the depth limit (512) must still evaluate, byte-identical to the
+# plain atom: that confirms the limit keeps every recursive pass on this
+# tier's stack. Over TCP, a line that never ends must get `err line too
+# long` and lose its connection while a second connection keeps serving;
+# the process must exit 0 after quit. Last, the bvqsh `serve` script runs,
+# so this tier's sanitizer watches the shell's in-process Server too.
+deep_smoke() {
+  local bvqserve="$1/tools/bvqserve" tmp rc mode i n port server id=0
+  local atom='E(x1,x1)'
+  tmp=$(mktemp -d)
+  echo "== nesting and long-line smoke ($1) =="
+  repeat() { local i; for ((i = 0; i < $2; i++)); do printf '%s' "$1"; done; }
+  deep_fail() { echo "deep smoke: $1" >&2; cut -c1-200 "$2" >&2; exit 1; }
+  {
+    printf 'open d k=1\ndomain d 3\nrel d E/2 0 0 ; 1 2 ;\n'
+    for n in 10000 512; do  # ids 1-3 over the limit, 4-6 at it
+      printf 'eval %d d (x1) %s%s\n' $((++id)) "$(repeat '!' $n)" "$atom"
+      printf 'eval %d d (x1) %s%s%s\n' $((++id)) "$(repeat '(' $n)" "$atom" \
+          "$(repeat ')' $n)"
+      printf 'eval %d d (x1) %s%s\n' $((++id)) "$atom" \
+          "$(repeat " & $atom" $((n == 512 ? 512 : 19999)))"
+    done
+    printf 'eval 7 d (x1) %s\ndrain\nclose d\nquit\n' "$atom"
+  } > "$tmp/deep.bvqserve"
+  for mode in "" --shards=2; do
+    rc=0
+    "$bvqserve" $mode "$tmp/deep.bvqserve" > "$tmp/deep.out" 2>&1 || rc=$?
+    [[ $rc -eq 0 ]] && grep -qx 'ok quit' "$tmp/deep.out" ||
+        deep_fail "bvqserve $mode exited with $rc" "$tmp/deep.out"
+    [[ "$(grep -c '^result [0-9]* error ' "$tmp/deep.out")" -eq 3 ]] ||
+        deep_fail "$mode: expected exactly 3 error blocks" "$tmp/deep.out"
+    for i in 1 2 3; do
+      grep -qx "result $i error ParseError" "$tmp/deep.out" ||
+          deep_fail "$mode: input $i is not a ParseError" "$tmp/deep.out"
+    done
+    for i in 4 5 6; do
+      grep -qx "result $i ok" "$tmp/deep.out" &&
+          [[ "$(payload "$tmp/deep.out" $i)" == \
+             "$(payload "$tmp/deep.out" 7)" ]] ||
+          deep_fail "$mode: eval $i at the limit did not answer" "$tmp/deep.out"
+    done
+    echo "   ${mode:-direct}: over-deep inputs -> ParseError, limit-deep ones answer"
+  done
+
+  "$bvqserve" --port=0 > /dev/null 2> "$tmp/tcp.err" &
+  server=$!
+  for ((i = 0; i < 100; i++)); do
+    port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$tmp/tcp.err")
+    [[ -n "$port" ]] && break
+    sleep 0.1
+  done
+  [[ -n "$port" ]] || { kill "$server"; deep_fail "no TCP port" "$tmp/tcp.err"; }
+  (
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    printf 'open t k=1\n' >&3
+    head -c 17000000 /dev/zero | tr '\0' a >&3 || true
+    cat <&3 || true
+  ) > "$tmp/long.out" 2> /dev/null
+  (
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    printf 'domain t 3\neval 1 t (x1) x1 = x1\ndrain\nquit\n' >&3
+    cat <&3
+  ) > "$tmp/after.out"
+  rc=0
+  wait "$server" || rc=$?
+  [[ "$(grep -c '^err' "$tmp/long.out")" -eq 1 ]] &&
+      grep -qx 'err line too long' "$tmp/long.out" ||
+      deep_fail "endless TCP line not refused with one err" "$tmp/long.out"
+  [[ $rc -eq 0 ]] && grep -qx 'result 1 ok' "$tmp/after.out" ||
+      deep_fail "not serving after the long line (exit $rc)" "$tmp/after.out"
+  echo "   endless TCP line -> err line too long; next connection served"
+
+  "$ROOT/tests/bvqsh_test.sh" serve "$1/tools/bvqsh" "$ROOT/data/serve.bvqsh"
+  rm -rf "$tmp"
+}
+
 run_plain=1
 run_tsan=1
 run_asan=1
@@ -479,7 +563,7 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest + bench/serve/shard/cache/persist/batch smokes"
+    echo "plain  build + ctest + bench/serve/shard/cache/persist/batch/deep smokes"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
@@ -505,6 +589,7 @@ if [[ $run_plain -eq 1 ]]; then
   batch_smoke "$ROOT/build"
   cache_smoke "$ROOT/build"
   persist_smoke "$ROOT/build"
+  deep_smoke "$ROOT/build"
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
@@ -518,6 +603,7 @@ if [[ $run_tsan -eq 1 ]]; then
   BVQ_THREADS=4 batch_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 cache_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 persist_smoke "$ROOT/build-tsan"
+  BVQ_THREADS=4 deep_smoke "$ROOT/build-tsan"
 fi
 
 if [[ $run_asan -eq 1 ]]; then
@@ -534,6 +620,7 @@ if [[ $run_asan -eq 1 ]]; then
   batch_smoke "$ROOT/build-asan"
   cache_smoke "$ROOT/build-asan"
   persist_smoke "$ROOT/build-asan"
+  deep_smoke "$ROOT/build-asan"
 fi
 
 echo "check.sh: all requested passes green"
