@@ -12,13 +12,14 @@
 //   bench_cache_warm [--n=40] [--reps=3] [--threads=1]
 //                    [--out=BENCH_cache.json]
 //
-// Timing is min-of-reps per pass. Before any number is written, every warm
-// answer is asserted byte-identical to a cache-off reference run
-// (cross_query_cache = false, i.e. the seed evaluation path); a mismatch
-// aborts with exit code 1. The warm pass must also actually hit: a warm
-// replay with zero cache hits is reported as a failure, not a slow run.
+// Each pass reports the median, min and max over its reps (the speedup is
+// median over median), and the record names the host's cores. Before any
+// number is written, every cold and warm answer is asserted byte-identical
+// to a cache-off reference run (cross_query_cache = false, i.e. the seed
+// evaluation path); a mismatch aborts with exit code 1. The warm pass must
+// also actually hit: a warm replay with zero cache hits is reported as a
+// failure, not a slow run.
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/resource.h"
 #include "common/strings.h"
 #include "db/database.h"
@@ -82,10 +84,6 @@ Database LongPathDb(std::size_t n) {
   assert(s.ok());
   (void)s;
   return db;
-}
-
-double MinMs(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
 }
 
 struct PassResult {
@@ -172,8 +170,13 @@ int main(int argc, char** argv) {
     names.push_back(w.name);
   }
 
-  // The seed path the cache must reproduce byte for byte.
+  // The seed path the cache must reproduce byte for byte, timed once per
+  // rep like the cached passes.
   const PassResult reference = RunBatch(db, batch, nullptr, threads);
+  std::vector<double> off_times = {reference.ms};
+  for (std::size_t r = 1; r < reps; ++r) {
+    off_times.push_back(RunBatch(db, batch, nullptr, threads).ms);
+  }
 
   // Residency is charged to a session-style governor account, so the bench
   // exercises the same TryCharge path a serve::Session does.
@@ -198,15 +201,18 @@ int main(int argc, char** argv) {
     }
     warm_last = warm;
   }
-  const double cold_ms = MinMs(cold_times);
-  const double warm_ms = MinMs(warm_times);
-  const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
+  const bvq_bench::Spread cold = bvq_bench::SpreadOf(cold_times);
+  const bvq_bench::Spread warm = bvq_bench::SpreadOf(warm_times);
+  const bvq_bench::Spread off = bvq_bench::SpreadOf(off_times);
+  const double speedup = warm.median > 0 ? cold.median / warm.median : 0;
   const bool warm_hit = warm_hits > 0;
 
   std::printf(
-      "batch of %zu queries on n=%zu: cold %8.3f ms   warm %8.3f ms   "
-      "off %8.3f ms   warm-over-cold %5.2fx   warm cache hits %llu   %s\n",
-      batch.size(), n, cold_ms, warm_ms, reference.ms, speedup,
+      "batch of %zu queries on n=%zu (median [min, max]): cold %8.3f ms "
+      "[%.3f, %.3f]   warm %8.3f ms [%.3f, %.3f]   off %8.3f ms "
+      "[%.3f, %.3f]   warm-over-cold %5.2fx   warm cache hits %llu   %s\n",
+      batch.size(), n, cold.median, cold.min, cold.max, warm.median,
+      warm.min, warm.max, off.median, off.min, off.max, speedup,
       static_cast<unsigned long long>(warm_hits),
       all_identical ? "identical" : "MISMATCH");
   for (std::size_t q = 0; q < batch.size(); ++q) {
@@ -222,15 +228,18 @@ int main(int argc, char** argv) {
   json += "    \"threads\": " + std::to_string(threads) + ",\n";
   json += "    \"reps\": " + std::to_string(reps) + ",\n";
   json += "    \"queries\": " + std::to_string(batch.size()) + ",\n";
-  json += "    \"memo\": true,\n    \"cross_query_cache\": true\n  },\n";
+  json += "    \"memo\": true,\n    \"cross_query_cache\": true,\n";
+  json += "    \"host_cores\": " + std::to_string(bvq_bench::HostCores()) +
+          "\n  },\n";
+  json += "  \"cold_ms\": " + bvq_bench::SpreadJson(cold) + ",\n";
+  json += "  \"warm_ms\": " + bvq_bench::SpreadJson(warm) + ",\n";
+  json += "  \"off_ms\": " + bvq_bench::SpreadJson(off) + ",\n";
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "  \"cold_ms\": %.4f,\n  \"warm_ms\": %.4f,\n  \"off_ms\": %.4f,\n"
       "  \"speedup\": %.3f,\n  \"warm_cache_hits\": %llu,\n"
       "  \"cache_resident_bytes\": %zu,\n  \"identical\": %s,\n",
-      cold_ms, warm_ms, reference.ms, speedup,
-      static_cast<unsigned long long>(warm_hits),
+      speedup, static_cast<unsigned long long>(warm_hits),
       warm_last.stats.cache_bytes, all_identical ? "true" : "false");
   json += buf;
   json += "  \"workloads\": [\n";

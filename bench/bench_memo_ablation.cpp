@@ -11,11 +11,12 @@
 //   bench_memo_ablation [--n=40] [--reps=3] [--threads=1]
 //                       [--out=BENCH_memo.json]
 //
-// Timing is min-of-reps per configuration. Every workload asserts that the
-// memo-on and memo-off answers are byte-identical before any number is
-// written; a mismatch aborts with exit code 1.
+// Each configuration reports the median, min and max over its reps (the
+// speedup is median over median), and the record names the host's cores.
+// Every workload asserts that the memo-on and memo-off answers are
+// byte-identical before any number is written; a mismatch aborts with exit
+// code 1.
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/strings.h"
 #include "db/database.h"
 #include "db/generators.h"
@@ -82,12 +84,8 @@ Database LongPathDb(std::size_t n) {
   return db;
 }
 
-double MinMs(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 struct RunResult {
-  double ms = 0;
+  bvq_bench::Spread ms;
   AssignmentSet answer;
   EvalStats stats;
 };
@@ -114,7 +112,7 @@ RunResult Run(const Database& db, const FormulaPtr& f, bool memo,
     out.answer = *result;
     out.stats = eval.stats();
   }
-  out.ms = MinMs(times);
+  out.ms = bvq_bench::SpreadOf(times);
   return out;
 }
 
@@ -146,6 +144,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (reps == 0) reps = 1;
 
   Database db = LongPathDb(n);
   std::string json = "{\n  \"bench\": \"memo_ablation\",\n";
@@ -153,7 +152,9 @@ int main(int argc, char** argv) {
   json += "    \"domain_size\": " + std::to_string(n) + ",\n";
   json += "    \"k\": 3,\n";
   json += "    \"threads\": " + std::to_string(threads) + ",\n";
-  json += "    \"reps\": " + std::to_string(reps) + "\n  },\n";
+  json += "    \"reps\": " + std::to_string(reps) + ",\n";
+  json += "    \"host_cores\": " + std::to_string(bvq_bench::HostCores()) +
+          "\n  },\n";
   json += "  \"workloads\": [\n";
 
   bool all_identical = true;
@@ -170,27 +171,28 @@ int main(int argc, char** argv) {
     RunResult off = Run(db, *f, /*memo=*/false, threads, reps);
     const bool identical = on.answer == off.answer;
     all_identical = all_identical && identical;
-    const double speedup = on.ms > 0 ? off.ms / on.ms : 0;
+    const double speedup =
+        on.ms.median > 0 ? off.ms.median / on.ms.median : 0;
     std::printf(
-        "%-22s memo-on %8.3f ms   memo-off %8.3f ms   speedup %5.2fx   "
-        "hits %zu  hoists %zu  copies-avoided %zu  %s\n",
-        workloads[w].name.c_str(), on.ms, off.ms, speedup,
-        on.stats.memo_hits, on.stats.invariant_hoists,
-        on.stats.iterate_copies_avoided,
+        "%-22s memo-on %8.3f ms [%.3f, %.3f]   memo-off %8.3f ms "
+        "[%.3f, %.3f]   speedup %5.2fx   hits %zu  hoists %zu  "
+        "copies-avoided %zu  %s\n",
+        workloads[w].name.c_str(), on.ms.median, on.ms.min, on.ms.max,
+        off.ms.median, off.ms.min, off.ms.max, speedup, on.stats.memo_hits,
+        on.stats.invariant_hoists, on.stats.iterate_copies_avoided,
         identical ? "identical" : "MISMATCH");
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"memo_on_ms\": %.4f, \"memo_off_ms\": "
-        "%.4f, \"speedup\": %.3f, \"memo_hits\": %zu, \"memo_misses\": "
-        "%zu, \"invariant_hoists\": %zu, \"iterate_copies_avoided\": %zu, "
+        ", \"speedup\": %.3f, \"memo_hits\": %zu, \"memo_misses\": %zu, "
+        "\"invariant_hoists\": %zu, \"iterate_copies_avoided\": %zu, "
         "\"identical\": %s}%s\n",
-        workloads[w].name.c_str(), on.ms, off.ms, speedup,
-        on.stats.memo_hits, on.stats.memo_misses,
+        speedup, on.stats.memo_hits, on.stats.memo_misses,
         on.stats.invariant_hoists, on.stats.iterate_copies_avoided,
-        identical ? "true" : "false",
-        w + 1 < workloads.size() ? "," : "");
-    json += buf;
+        identical ? "true" : "false", w + 1 < workloads.size() ? "," : "");
+    json += "    {\"name\": \"" + workloads[w].name +
+            "\", \"memo_on_ms\": " + bvq_bench::SpreadJson(on.ms) +
+            ", \"memo_off_ms\": " + bvq_bench::SpreadJson(off.ms) + buf;
   }
   json += "  ]\n}\n";
 

@@ -3,18 +3,21 @@
 // google/benchmark rejects flags it does not recognise, so BVQ_BENCHMARK_MAIN
 // strips --threads=N and --memo=0|1 out of argv before handing the rest to
 // the library and records the values for EvalOptions(). The default of 1
-// thread runs the exact legacy serial path, so existing series remain
-// comparable; pass --threads=0 for auto (hardware concurrency) or an
-// explicit worker count. --memo=0 disables the dependency-aware subformula
-// memo (the ablation switch; default on). Results are byte-identical for
-// every combination (see DESIGN.md, "Threading model & determinism" and
-// "Memoization & invariant hoisting") — only the timings move.
+// thread runs every kernel as one chunk on the benchmark thread; pass
+// --threads=0 for auto (hardware concurrency) or an explicit worker count.
+// --memo=0 disables the dependency-aware subformula memo (the ablation
+// switch; default on). Results are byte-identical for every combination
+// (see DESIGN.md, "Threading model & determinism" and "Memoization &
+// invariant hoisting") — only the timings move.
 //
 // --deadline-ms=N / --mem-budget-mb=N arm a ResourceGovernor shared by all
 // governed iterations (default: off) so a bench configuration that would
 // run away gets cut with DeadlineExceeded / ResourceExhausted instead of
 // wedging a CI run. The governor adds its per-node token polls to the
 // measured path, so leave both at 0 for comparable timing series.
+//
+// Values parse strictly: a bad one prints usage and exits 1, never falls
+// back to a default.
 
 #ifndef BVQ_BENCH_BENCH_THREADS_H_
 #define BVQ_BENCH_BENCH_THREADS_H_
@@ -22,10 +25,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
+#include "common/index.h"
 #include "common/resource.h"
+#include "common/strings.h"
 #include "eval/bounded_eval.h"
 
 namespace bvq_bench {
@@ -60,20 +66,38 @@ inline bvq::ResourceGovernor* Governor() {
 inline void ParseThreadsFlag(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      ThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--memo=", 7) == 0) {
-      MemoFlag() = std::strtoull(argv[i] + 7, nullptr, 10) != 0;
-    } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      GovernorLimits().deadline_ms =
-          std::strtoull(argv[i] + 14, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--mem-budget-mb=", 16) == 0) {
-      GovernorLimits().mem_budget_bytes =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 16, nullptr, 10))
-          << 20;
+    const std::string_view arg = argv[i];
+    std::string_view value;
+    auto flag = [&](std::string_view name) {
+      if (arg.substr(0, name.size()) != name) return false;
+      value = arg.substr(name.size());
+      return true;
+    };
+    std::size_t v = 0;
+    bool ok = true;
+    if (flag("--threads=")) {
+      ok = bvq::ParseSizeT(value, &ThreadsFlag());
+    } else if (flag("--memo=")) {
+      ok = value == "0" || value == "1";
+      MemoFlag() = value == "1";
+    } else if (flag("--deadline-ms=")) {
+      ok = bvq::ParseSizeT(value, &v);
+      GovernorLimits().deadline_ms = v;
+    } else if (flag("--mem-budget-mb=")) {
+      ok = bvq::ParseSizeT(value, &v) &&
+           bvq::CheckedMul(v, std::size_t{1} << 20,
+                           &GovernorLimits().mem_budget_bytes);
     } else {
       argv[out++] = argv[i];
+      continue;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad value in %s\nusage: %s [--threads=N] [--memo=0|1] "
+                   "[--deadline-ms=N] [--mem-budget-mb=N] "
+                   "[google/benchmark flags]\n",
+                   argv[i], argv[0]);
+      std::exit(1);
     }
   }
   *argc = out;

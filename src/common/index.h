@@ -1,6 +1,7 @@
 #ifndef BVQ_COMMON_INDEX_H_
 #define BVQ_COMMON_INDEX_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -97,6 +98,51 @@ class TupleIndexer {
   std::size_t arity_;
   std::size_t num_tuples_;
   std::vector<std::size_t> strides_;
+};
+
+/// Mixed-radix odometer over base-`radix` digits d_0..d_{m-1} (d_0 least
+/// significant) that keeps value() = base + sum_j d_j * weights[j] current
+/// while it steps through the radix^m positions in order: one add per step
+/// and one subtract per carry, instead of a div/mod chain per position.
+/// With coordinate strides as weights it visits the ranks of a sub-cube;
+/// any other rank that is linear in the digits (AssignmentSet::Remap's read
+/// rank) works the same way. `weights` is borrowed and must outlive it.
+class RadixWalker {
+ public:
+  RadixWalker(std::size_t radix, const std::vector<std::size_t>& weights)
+      : radix_(radix), weights_(weights), digits_(weights.size(), 0) {}
+
+  /// Moves to position `pos` < radix^m, one div/mod per digit.
+  void Seek(std::size_t pos, std::size_t base = 0) {
+    std::fill(digits_.begin(), digits_.end(), 0);
+    value_ = base;
+    // Position 0 divides by nothing, so an empty domain (radix 0) is safe.
+    for (std::size_t j = 0; pos != 0 && j < digits_.size(); ++j) {
+      digits_[j] = pos % radix_;
+      pos /= radix_;
+      value_ += digits_[j] * weights_[j];
+    }
+  }
+
+  std::size_t value() const { return value_; }
+
+  /// Steps to the next position; false past the last one, where every
+  /// digit has wrapped back to 0.
+  bool Next() {
+    for (std::size_t j = 0; j < digits_.size(); ++j) {
+      value_ += weights_[j];
+      if (++digits_[j] < radix_) return true;
+      digits_[j] = 0;
+      value_ -= radix_ * weights_[j];
+    }
+    return false;
+  }
+
+ private:
+  std::size_t radix_;
+  const std::vector<std::size_t>& weights_;
+  std::vector<std::size_t> digits_;
+  std::size_t value_ = 0;
 };
 
 }  // namespace bvq

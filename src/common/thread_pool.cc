@@ -182,22 +182,32 @@ void ThreadPool::ResetStats() {
   stat_stolen_.store(0, std::memory_order_relaxed);
 }
 
-std::size_t BitGrain(std::size_t total, std::size_t num_threads) {
-  const std::size_t target_chunks = num_threads * 4;
-  std::size_t grain = total / (target_chunks == 0 ? 1 : target_chunks);
-  if (grain < 1024) grain = 1024;
-  // Round up to a whole number of 64-bit words so chunks own disjoint words.
-  grain = (grain + 63) / 64 * 64;
-  return grain;
+void ForEachChunk(
+    ThreadPool* pool, std::size_t total, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(total, grain, fn);
+    return;
+  }
+  for (std::size_t c = 0; c < ThreadPool::NumChunks(total, grain); ++c) {
+    fn(c, c * grain, std::min((c + 1) * grain, total));
+  }
 }
 
-std::size_t RowGrain(std::size_t total, std::size_t num_threads,
-                     std::size_t min_rows) {
-  const std::size_t target_chunks = num_threads * 4;
-  std::size_t grain = total / (target_chunks == 0 ? 1 : target_chunks);
-  if (grain < min_rows) grain = min_rows;
-  if (grain == 0) grain = 1;
-  return grain;
+std::size_t ChunkGrain(std::size_t items, std::size_t bits, std::size_t lanes,
+                       std::size_t chunks_per_lane) {
+  constexpr std::size_t kMinParallelBits = 4096;
+  if (lanes <= 1 || bits < kMinParallelBits) {
+    return std::max<std::size_t>(items, 1);
+  }
+  const std::size_t chunks = lanes * chunks_per_lane;
+  return std::max<std::size_t>(1, (items + chunks - 1) / chunks);
+}
+
+std::size_t BitGrain(std::size_t total, std::size_t lanes) {
+  const std::size_t grain =
+      std::max<std::size_t>(ChunkGrain(total, total, lanes, 4), 1024);
+  return (grain + 63) / 64 * 64;
 }
 
 }  // namespace bvq

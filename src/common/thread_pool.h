@@ -27,7 +27,7 @@ struct ThreadPoolStats {
 };
 
 /// A small fixed-size thread pool for data-parallel sweeps over k-ary
-/// assignment sets and relation rows.
+/// assignment sets.
 ///
 /// Design constraints (see DESIGN.md, "Threading model & determinism"):
 ///   - *Deterministic outputs.* ParallelFor splits [0, total) into chunks at
@@ -129,15 +129,29 @@ class ThreadPool {
   std::atomic<std::size_t> stat_stolen_{0};
 };
 
-/// A word-aligned grain for bitset sweeps: splits `total` bit positions into
-/// roughly 4 chunks per thread, rounded up to a multiple of 64 so chunks
-/// touch disjoint bitset words. Never returns 0.
-std::size_t BitGrain(std::size_t total, std::size_t num_threads);
+/// Lanes a sweep over `pool` runs on: its thread count, 1 for a null pool.
+inline std::size_t Lanes(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->num_threads();
+}
 
-/// A grain for row sweeps: roughly 4 chunks per thread, at least `min_rows`
-/// per chunk. Never returns 0.
-std::size_t RowGrain(std::size_t total, std::size_t num_threads,
-                     std::size_t min_rows = 256);
+/// Runs fn over the chunks of [0, total) as pool->ParallelFor does. A null
+/// pool, like a one-lane pool, runs them in chunk order on the caller, so a
+/// kernel has one body whatever pool it is handed.
+void ForEachChunk(
+    ThreadPool* pool, std::size_t total, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+
+/// Grain splitting `items` work items of a sweep over a `bits`-bit cube
+/// into about `chunks_per_lane` chunks per lane. One lane, or a cube under
+/// 4,096 bits (where dispatch costs more than the sweep), gets a single
+/// chunk. Never returns 0.
+std::size_t ChunkGrain(std::size_t items, std::size_t bits, std::size_t lanes,
+                       std::size_t chunks_per_lane);
+
+/// ChunkGrain over the bit positions of a `total`-bit cube, with chunks of
+/// at least 1,024 bits rounded up to a multiple of 64, so chunks own
+/// disjoint bitset words. Never returns 0.
+std::size_t BitGrain(std::size_t total, std::size_t lanes);
 
 }  // namespace bvq
 

@@ -64,12 +64,11 @@ class AssignmentSet {
   /// `var` is in the set. The quantified coordinate becomes "don't care"
   /// (cylindrified), so the result is still a subset of D^k.
   ///
-  /// All kernels taking a `pool` run the exact single-threaded legacy loop
-  /// when pool is null (or has one thread, or the cube is small) and an
-  /// equivalent chunked parallel sweep otherwise. Parallel outputs are
-  /// byte-identical to the serial ones: chunks either own disjoint
-  /// word-aligned spans of the output bitset or fill private shards that
-  /// are merged in chunk-index order (see DESIGN.md, "Threading model &
+  /// Every kernel taking a `pool` has one chunked body. A null or
+  /// one-lane pool, or a cube under 4,096 bits, runs it as a single chunk
+  /// on the caller. Outputs are byte-identical for every pool: chunks
+  /// either own disjoint word-aligned spans of the output bitset or fill
+  /// private shards OR-ed into it (see DESIGN.md, "Threading model &
   /// determinism").
   AssignmentSet ExistsVar(std::size_t var, ThreadPool* pool = nullptr) const;
   /// Universal quantification over `var` (the dual of ExistsVar).
@@ -105,17 +104,6 @@ class AssignmentSet {
   AssignmentSet Remap(const std::vector<std::size_t>& targets,
                       const std::vector<std::size_t>& sources,
                       ThreadPool* pool = nullptr) const;
-
-  /// Precomputes the rank permutation Remap applies: table[r] is the rank
-  /// read for output rank r. Reusing the table across fixpoint iterations
-  /// amortizes the per-point digit arithmetic (the evaluator's hot path).
-  static std::vector<std::size_t> BuildRemapTable(
-      const TupleIndexer& indexer, const std::vector<std::size_t>& targets,
-      const std::vector<std::size_t>& sources, ThreadPool* pool = nullptr);
-
-  /// Applies a table produced by BuildRemapTable: out[r] = this[table[r]].
-  AssignmentSet RemapByTable(const std::vector<std::size_t>& table,
-                             ThreadPool* pool = nullptr) const;
 
   /// Projects onto the given (distinct) variables, producing a classical
   /// relation of arity vars.size(): the set of value tuples

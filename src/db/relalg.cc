@@ -71,39 +71,9 @@ KeyIndex BuildIndex(const Relation& rel,
   return index;
 }
 
-// Inputs below this many rows are processed serially even when a pool is
-// supplied: the differential-fuzz instances are tiny and should keep
-// exercising the legacy loops, and dispatch overhead dominates anyway.
-constexpr std::size_t kMinParallelRows = 256;
-
-bool UsePool(ThreadPool* pool, std::size_t rows) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         rows >= kMinParallelRows;
-}
-
-// Runs fn(begin, end, &buffer) over row chunks of [0, rows); fn appends
-// whole output rows (out_arity values each) to its chunk's private buffer.
-// Buffers are concatenated in chunk-index order and canonicalized by
-// Build(), so the result is byte-identical to a serial left-to-right sweep.
-template <typename ChunkFn>
-Relation ParallelRows(ThreadPool* pool, std::size_t rows,
-                      std::size_t out_arity, ChunkFn&& fn) {
-  const std::size_t grain = RowGrain(rows, pool->num_threads(), 64);
-  std::vector<std::vector<Value>> buffers(ThreadPool::NumChunks(rows, grain));
-  pool->ParallelFor(rows, grain,
-                    [&](std::size_t chunk, std::size_t begin,
-                        std::size_t end) { fn(begin, end, &buffers[chunk]); });
-  RelationBuilder out(out_arity);
-  for (const std::vector<Value>& buf : buffers) {
-    out.AddFlat(buf.data(), buf.size() / out_arity);
-  }
-  return out.Build();
-}
-
 }  // namespace
 
-VarRelation Join(const VarRelation& a, const VarRelation& b,
-                 ThreadPool* pool) {
+VarRelation Join(const VarRelation& a, const VarRelation& b) {
   const std::vector<std::size_t> shared = SortedIntersection(a.vars, b.vars);
   const std::vector<std::size_t> out_vars = SortedUnion(a.vars, b.vars);
   const std::vector<std::size_t> a_key = PositionsOf(a.vars, shared);
@@ -129,31 +99,6 @@ VarRelation Join(const VarRelation& a, const VarRelation& b,
   }
 
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !out_vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), out_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          std::vector<Value> row(out_vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
-            }
-            auto it = index.find(key);
-            if (it == index.end()) continue;
-            for (std::size_t bi : it->second) {
-              const Value* rb = b.rel.tuple(bi);
-              for (std::size_t c = 0; c < sources.size(); ++c) {
-                row[c] =
-                    sources[c].from_a ? ra[sources[c].col] : rb[sources[c].col];
-              }
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
-          }
-        });
-    return {out_vars, std::move(rel)};
-  }
   RelationBuilder out(out_vars.size());
   std::vector<Value> key(a_key.size());
   std::vector<Value> row(out_vars.size());
@@ -173,27 +118,11 @@ VarRelation Join(const VarRelation& a, const VarRelation& b,
   return {out_vars, out.Build()};
 }
 
-VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
-                     ThreadPool* pool) {
+VarRelation Semijoin(const VarRelation& a, const VarRelation& b) {
   const std::vector<std::size_t> shared = SortedIntersection(a.vars, b.vars);
   const std::vector<std::size_t> a_key = PositionsOf(a.vars, shared);
   const std::vector<std::size_t> b_key = PositionsOf(b.vars, shared);
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !a.vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), a.vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
-            }
-            if (index.count(key)) buf->insert(buf->end(), ra, ra + a.vars.size());
-          }
-        });
-    return {a.vars, std::move(rel)};
-  }
   RelationBuilder out(a.vars.size());
   std::vector<Value> key(a_key.size());
   for (std::size_t i = 0; i < a.rel.size(); ++i) {
@@ -204,29 +133,11 @@ VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
   return {a.vars, out.Build()};
 }
 
-VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
-                     ThreadPool* pool) {
+VarRelation Antijoin(const VarRelation& a, const VarRelation& b) {
   const std::vector<std::size_t> shared = SortedIntersection(a.vars, b.vars);
   const std::vector<std::size_t> a_key = PositionsOf(a.vars, shared);
   const std::vector<std::size_t> b_key = PositionsOf(b.vars, shared);
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !a.vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), a.vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
-            }
-            if (!index.count(key)) {
-              buf->insert(buf->end(), ra, ra + a.vars.size());
-            }
-          }
-        });
-    return {a.vars, std::move(rel)};
-  }
   RelationBuilder out(a.vars.size());
   std::vector<Value> key(a_key.size());
   for (std::size_t i = 0; i < a.rel.size(); ++i) {
@@ -239,7 +150,7 @@ VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
 
 Result<VarRelation> ExtendTo(const VarRelation& a,
                              const std::vector<std::size_t>& vars,
-                             std::size_t domain_size, ThreadPool* pool) {
+                             std::size_t domain_size) {
   if (vars == a.vars) return a;
   // Columns of the output that come from `a`, by output position; the rest
   // range over the whole domain.
@@ -272,28 +183,6 @@ Result<VarRelation> ExtendTo(const VarRelation& a,
         StrCat("ExtendTo over ", vars.size(), " variables with |D|=",
                domain_size, " overflows the size type"));
   }
-  if (UsePool(pool, a.rel.size()) && !vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t c = 0; c < from.size(); ++c) {
-              if (from[c] >= 0) row[c] = ra[from[c]];
-            }
-            for (std::size_t combo = 0; combo < combos; ++combo) {
-              std::size_t rem = combo;
-              for (std::size_t f = 0; f < num_free; ++f) {
-                row[free_pos[f]] = static_cast<Value>(rem % domain_size);
-                rem /= domain_size;
-              }
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
-          }
-        });
-    return VarRelation{vars, std::move(rel)};
-  }
   RelationBuilder out(vars.size());
   std::vector<Value> row(vars.size());
   for (std::size_t i = 0; i < a.rel.size(); ++i) {
@@ -314,20 +203,18 @@ Result<VarRelation> ExtendTo(const VarRelation& a,
 }
 
 Result<VarRelation> Union(const VarRelation& a, const VarRelation& b,
-                          std::size_t domain_size, ThreadPool* pool) {
+                          std::size_t domain_size) {
   const std::vector<std::size_t> out_vars = SortedUnion(a.vars, b.vars);
-  BVQ_ASSIGN_OR_RETURN(VarRelation ea, ExtendTo(a, out_vars, domain_size,
-                                                pool));
-  BVQ_ASSIGN_OR_RETURN(VarRelation eb, ExtendTo(b, out_vars, domain_size,
-                                                pool));
+  BVQ_ASSIGN_OR_RETURN(VarRelation ea, ExtendTo(a, out_vars, domain_size));
+  BVQ_ASSIGN_OR_RETURN(VarRelation eb, ExtendTo(b, out_vars, domain_size));
   RelationBuilder out(out_vars.size());
   ea.rel.ForEach([&](const Value* t) { out.Add(t); });
   eb.rel.ForEach([&](const Value* t) { out.Add(t); });
   return VarRelation{out_vars, out.Build()};
 }
 
-Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size,
-                               ThreadPool* pool) {
+Result<VarRelation> Complement(const VarRelation& a,
+                               std::size_t domain_size) {
   const std::size_t arity = a.vars.size();
   if (arity == 0) {
     return VarRelation{a.vars, Relation::Proposition(!a.rel.AsBool())};
@@ -339,24 +226,6 @@ Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size,
     return Status::ResourceExhausted(
         StrCat("Complement within D^", arity, " with |D|=", domain_size,
                " overflows the size type"));
-  }
-  if (UsePool(pool, total)) {
-    Relation rel = ParallelRows(
-        pool, total, arity,
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(arity, 0);
-          for (std::size_t rank = begin; rank < end; ++rank) {
-            std::size_t rem = rank;
-            for (std::size_t j = 0; j < arity; ++j) {
-              row[j] = static_cast<Value>(rem % domain_size);
-              rem /= domain_size;
-            }
-            if (!a.rel.Contains(row.data())) {
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
-          }
-        });
-    return VarRelation{a.vars, std::move(rel)};
   }
   RelationBuilder out(arity);
   std::vector<Value> row(arity, 0);
@@ -371,26 +240,12 @@ Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size,
   return VarRelation{a.vars, out.Build()};
 }
 
-VarRelation ProjectOut(const VarRelation& a, std::size_t var,
-                       ThreadPool* pool) {
+VarRelation ProjectOut(const VarRelation& a, std::size_t var) {
   auto it = std::lower_bound(a.vars.begin(), a.vars.end(), var);
   if (it == a.vars.end() || *it != var) return a;
   const std::size_t drop = static_cast<std::size_t>(it - a.vars.begin());
   std::vector<std::size_t> out_vars = a.vars;
   out_vars.erase(out_vars.begin() + static_cast<std::ptrdiff_t>(drop));
-  if (UsePool(pool, a.rel.size()) && !out_vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), out_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a.vars.size(); ++j) {
-              if (j != drop) buf->push_back(t[j]);
-            }
-          }
-        });
-    return {out_vars, std::move(rel)};
-  }
   RelationBuilder out(out_vars.size());
   std::vector<Value> row(out_vars.size());
   for (std::size_t i = 0; i < a.rel.size(); ++i) {
@@ -404,8 +259,8 @@ VarRelation ProjectOut(const VarRelation& a, std::size_t var,
   return {out_vars, out.Build()};
 }
 
-VarRelation FromAtom(const Relation& rel, const std::vector<std::size_t>& args,
-                     ThreadPool* pool) {
+VarRelation FromAtom(const Relation& rel,
+                     const std::vector<std::size_t>& args) {
   assert(args.size() == rel.arity());
   std::vector<std::size_t> vars = args;
   std::sort(vars.begin(), vars.end());
@@ -418,30 +273,6 @@ VarRelation FromAtom(const Relation& rel, const std::vector<std::size_t>& args,
   for (std::size_t j = 0; j < args.size(); ++j) {
     out_pos[j] = static_cast<std::size_t>(
         std::lower_bound(vars.begin(), vars.end(), args[j]) - vars.begin());
-  }
-  if (UsePool(pool, rel.size())) {
-    Relation selected = ParallelRows(
-        pool, rel.size(), vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(vars.size());
-          std::vector<bool> written(vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = rel.tuple(i);
-            bool consistent = true;
-            std::fill(written.begin(), written.end(), false);
-            for (std::size_t j = 0; j < args.size() && consistent; ++j) {
-              const std::size_t c = out_pos[j];
-              if (written[c] && row[c] != t[j]) {
-                consistent = false;
-              } else {
-                row[c] = t[j];
-                written[c] = true;
-              }
-            }
-            if (consistent) buf->insert(buf->end(), row.begin(), row.end());
-          }
-        });
-    return {vars, std::move(selected)};
   }
   RelationBuilder out(vars.size());
   std::vector<Value> row(vars.size());
@@ -486,7 +317,7 @@ VarRelation EqualityRelation(std::size_t var_i, std::size_t var_j,
 
 Result<Relation> AnswerTuple(const VarRelation& a,
                              const std::vector<std::size_t>& target_vars,
-                             std::size_t domain_size, ThreadPool* pool) {
+                             std::size_t domain_size) {
   // Variables the answer mentions, extended with domain for ones absent
   // from `a` (the answer cannot depend on them).
   std::vector<std::size_t> needed = target_vars;
@@ -496,25 +327,13 @@ Result<Relation> AnswerTuple(const VarRelation& a,
   for (std::size_t v : a.vars) all.push_back(v);
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
-  BVQ_ASSIGN_OR_RETURN(VarRelation ext, ExtendTo(a, all, domain_size, pool));
+  BVQ_ASSIGN_OR_RETURN(VarRelation ext, ExtendTo(a, all, domain_size));
   // Project (with possible repeats) onto target_vars order.
   std::vector<std::size_t> pos(target_vars.size());
   for (std::size_t j = 0; j < target_vars.size(); ++j) {
     pos[j] = static_cast<std::size_t>(
         std::lower_bound(ext.vars.begin(), ext.vars.end(), target_vars[j]) -
         ext.vars.begin());
-  }
-  if (UsePool(pool, ext.rel.size()) && !target_vars.empty()) {
-    return ParallelRows(
-        pool, ext.rel.size(), target_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = ext.rel.tuple(i);
-            for (std::size_t j = 0; j < pos.size(); ++j) {
-              buf->push_back(t[pos[j]]);
-            }
-          }
-        });
   }
   RelationBuilder out(target_vars.size());
   std::vector<Value> row(target_vars.size());

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "db/relation.h"
 
 namespace bvq {
@@ -29,26 +28,16 @@ struct VarRelation {
   }
 };
 
-/// All kernels taking a `pool` run the single-threaded loop when pool is
-/// null (or has one thread, or the input is small) and an equivalent
-/// row-chunked parallel sweep otherwise. Parallel chunks fill private row
-/// buffers that are concatenated in chunk-index order before the
-/// canonicalizing RelationBuilder::Build() sort/dedup, so outputs are
-/// byte-identical for every thread count.
-
 /// Natural join on the shared variables; output columns are the sorted
 /// union of both variable sets.
-VarRelation Join(const VarRelation& a, const VarRelation& b,
-                 ThreadPool* pool = nullptr);
+VarRelation Join(const VarRelation& a, const VarRelation& b);
 
 /// Semijoin: tuples of `a` that join with at least one tuple of `b`.
-VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
-                     ThreadPool* pool = nullptr);
+VarRelation Semijoin(const VarRelation& a, const VarRelation& b);
 
 /// Antijoin: tuples of `a` that join with no tuple of `b` (the negated
 /// body literals of stratified Datalog).
-VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
-                     ThreadPool* pool = nullptr);
+VarRelation Antijoin(const VarRelation& a, const VarRelation& b);
 
 /// Extends `a` with the missing variables of `vars` (cross product with the
 /// domain for each — this is where naive evaluation pays its exponential
@@ -58,29 +47,26 @@ VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
 /// silently).
 Result<VarRelation> ExtendTo(const VarRelation& a,
                              const std::vector<std::size_t>& vars,
-                             std::size_t domain_size,
-                             ThreadPool* pool = nullptr);
+                             std::size_t domain_size);
 
 /// Union after extending both sides to the union of their variable sets.
 Result<VarRelation> Union(const VarRelation& a, const VarRelation& b,
-                          std::size_t domain_size, ThreadPool* pool = nullptr);
+                          std::size_t domain_size);
 
 /// Complement of `a` within D^{|vars|}. Fails with ResourceExhausted when
 /// domain_size^arity overflows the size type.
-Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size,
-                               ThreadPool* pool = nullptr);
+Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size);
 
 /// Existential quantification: drops the column of `var` (projection) and
 /// deduplicates. If `var` is absent the input is returned unchanged.
-VarRelation ProjectOut(const VarRelation& a, std::size_t var,
-                       ThreadPool* pool = nullptr);
+VarRelation ProjectOut(const VarRelation& a, std::size_t var);
 
 /// The relation for an atom R(x_{args[0]}, ..., x_{args[m-1]}): selects the
 /// rows of `rel` consistent with repeated variables and projects onto the
 /// sorted distinct variables. An arity-0 atom yields an empty-vars
 /// VarRelation whose rel is the proposition.
-VarRelation FromAtom(const Relation& rel, const std::vector<std::size_t>& args,
-                     ThreadPool* pool = nullptr);
+VarRelation FromAtom(const Relation& rel,
+                     const std::vector<std::size_t>& args);
 
 /// The diagonal x_i = x_j (or all of D over {x_i} when i == j).
 VarRelation EqualityRelation(std::size_t var_i, std::size_t var_j,
@@ -92,8 +78,7 @@ VarRelation EqualityRelation(std::size_t var_i, std::size_t var_j,
 /// (y̅)phi. Propagates ExtendTo's overflow failure.
 Result<Relation> AnswerTuple(const VarRelation& a,
                              const std::vector<std::size_t>& target_vars,
-                             std::size_t domain_size,
-                             ThreadPool* pool = nullptr);
+                             std::size_t domain_size);
 
 }  // namespace bvq
 

@@ -18,78 +18,32 @@ namespace {
 class BlockLayout {
  public:
   BlockLayout(const TupleIndexer& idx, const std::vector<std::size_t>& bound)
-      : idx_(idx) {
+      : n_(idx.domain_size()) {
     std::vector<bool> is_bound(idx.arity(), false);
     for (std::size_t v : bound) is_bound[v] = true;
-    for (std::size_t j = 0; j < idx.arity(); ++j) {
-      (is_bound[j] ? bound_coords_ : param_coords_).push_back(j);
-    }
     num_blocks_ = 1;
-    for (std::size_t j = 0; j < param_coords_.size(); ++j) {
-      num_blocks_ *= idx.domain_size();
-    }
     slice_size_ = 1;
-    for (std::size_t j = 0; j < bound_coords_.size(); ++j) {
-      slice_size_ *= idx.domain_size();
-      bound_stride_.push_back(idx.Stride(bound_coords_[j]));
-      bound_wrap_.push_back((idx.domain_size() - 1) *
-                            idx.Stride(bound_coords_[j]));
+    for (std::size_t j = 0; j < idx.arity(); ++j) {
+      if (is_bound[j]) {
+        bound_strides_.push_back(idx.Stride(j));
+        slice_size_ *= n_;
+      } else {
+        param_strides_.push_back(idx.Stride(j));
+        num_blocks_ *= n_;
+      }
     }
   }
 
   std::size_t num_blocks() const { return num_blocks_; }
-  std::size_t slice_size() const { return slice_size_; }
-
-  // Rank of slice position 0 of `block`; O(#parameter coords), paid once
-  // per slice sweep.
-  std::size_t BlockBase(std::size_t block) const {
-    std::size_t r = 0;
-    std::size_t rem = block;
-    for (std::size_t c : param_coords_) {
-      r += (rem % idx_.domain_size()) * idx_.Stride(c);
-      rem /= idx_.domain_size();
-    }
-    return r;
-  }
-
-  // Mixed-radix odometer over the bound coordinates: visits the global
-  // ranks of a block's slice positions in order with amortized O(1) work
-  // per step (a stride add, plus wrap subtractions on digit carries),
-  // replacing the O(arity) div/mod chain a per-position GlobalRank pays.
-  class SliceWalker {
-   public:
-    SliceWalker(const BlockLayout& layout, std::size_t block)
-        : layout_(layout),
-          digits_(layout.bound_coords_.size(), 0),
-          rank_(layout.BlockBase(block)) {}
-
-    std::size_t rank() const { return rank_; }
-
-    void Next() {
-      for (std::size_t j = 0; j < digits_.size(); ++j) {
-        if (++digits_[j] < layout_.idx_.domain_size()) {
-          rank_ += layout_.bound_stride_[j];
-          return;
-        }
-        digits_[j] = 0;
-        rank_ -= layout_.bound_wrap_[j];
-      }
-    }
-
-   private:
-    const BlockLayout& layout_;
-    std::vector<std::size_t> digits_;
-    std::size_t rank_;
-  };
 
   // FNV hash of a block's slice of `set`.
   uint64_t SliceHash(const AssignmentSet& set, std::size_t block) const {
     uint64_t h = 1469598103934665603ull;
     uint64_t word = 0;
     int nbits = 0;
-    SliceWalker w(*this, block);
+    RadixWalker w = SliceWalker(block);
     for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      word = (word << 1) | (set.Test(w.rank()) ? 1 : 0);
+      word = (word << 1) | (set.Test(w.value()) ? 1 : 0);
       if (++nbits == 64) {
         h ^= word;
         h *= 1099511628211ull;
@@ -106,34 +60,42 @@ class BlockLayout {
 
   bool SlicesEqual(const AssignmentSet& a, const AssignmentSet& b,
                    std::size_t block) const {
-    SliceWalker w(*this, block);
+    RadixWalker w = SliceWalker(block);
     for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      if (a.Test(w.rank()) != b.Test(w.rank())) return false;
+      if (a.Test(w.value()) != b.Test(w.value())) return false;
     }
     return true;
   }
 
   void CopySlice(const AssignmentSet& from, AssignmentSet& to,
                  std::size_t block) const {
-    SliceWalker w(*this, block);
+    RadixWalker w = SliceWalker(block);
     for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      to.mutable_bits().Assign(w.rank(), from.Test(w.rank()));
+      to.mutable_bits().Assign(w.value(), from.Test(w.value()));
     }
   }
 
  private:
-  TupleIndexer idx_;  // by value: callers often pass a temporary
-  std::vector<std::size_t> bound_coords_;
-  std::vector<std::size_t> param_coords_;
-  std::vector<std::size_t> bound_stride_;
-  std::vector<std::size_t> bound_wrap_;  // (n-1) * stride, the carry rewind
+  // Visits the global ranks of `block`'s slice positions in order: one
+  // div/mod chain for the block's base rank, then a stride walk over the
+  // bound coordinates.
+  RadixWalker SliceWalker(std::size_t block) const {
+    std::size_t base = 0;
+    for (std::size_t stride : param_strides_) {
+      base += (block % n_) * stride;
+      block /= n_;
+    }
+    RadixWalker w(n_, bound_strides_);
+    w.Seek(0, base);
+    return w;
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> bound_strides_;
+  std::vector<std::size_t> param_strides_;
   std::size_t num_blocks_;
   std::size_t slice_size_;
 };
-
-// Cubes below this many bits never engage the pool (dispatch overhead
-// dominates; mirrors the kernel-level threshold in assignment_set.cc).
-constexpr std::size_t kMinParallelBits = 4096;
 
 }  // namespace
 
@@ -150,10 +112,7 @@ std::size_t BoundedEvaluator::IdKeyHash::operator()(
 BoundedEvaluator::BoundedEvaluator(const Database& db, std::size_t num_vars,
                                    BoundedEvalOptions options)
     : db_(&db), num_vars_(num_vars), options_(options) {
-  const std::size_t threads = options_.num_threads == 0
-                                  ? ThreadPool::DefaultThreads()
-                                  : options_.num_threads;
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
 }
 
 Result<AssignmentSet> BoundedEvaluator::Evaluate(const FormulaPtr& formula) {
@@ -177,7 +136,6 @@ Result<AssignmentSet> BoundedEvaluator::EvaluateWithEnv(
       formula, CacheActive() ? options_.answer_cache->interner() : nullptr);
   warm_cache_.clear();
   atom_cache_.clear();
-  remap_cache_.clear();
   memo_.assign(index_->num_classes(), MemoEntry{});
   epoch_[0] = epoch_[1] = 0;
   next_version_ = 0;
@@ -196,10 +154,8 @@ Result<AssignmentSet> BoundedEvaluator::EvaluateWithEnv(
     }
     options_.governor->set_predicted_bytes(predicted);
   }
-  if (pool_) {
-    pool_->set_cancel_token(
-        options_.governor ? options_.governor->stop_flag() : nullptr);
-  }
+  pool_->set_cancel_token(
+      options_.governor ? options_.governor->stop_flag() : nullptr);
   Env working(index_->num_preds());
   for (const auto& [name, binding] : env) {
     const std::size_t pred = index_->PredId(name);
@@ -209,19 +165,16 @@ Result<AssignmentSet> BoundedEvaluator::EvaluateWithEnv(
     working[pred] =
         RelVarBinding(binding.cube_ptr, binding.coords, ++next_version_);
   }
-  ThreadPoolStats before;
-  if (pool_) before = pool_->stats();
+  const ThreadPoolStats before = pool_->stats();
   std::uint64_t cache_evictions_before = 0;
   if (CacheActive()) {
     cache_evictions_before = options_.answer_cache->stats().evictions;
   }
   auto result = Eval(formula, working);
-  if (pool_) {
-    const ThreadPoolStats after = pool_->stats();
-    stats_.parallel_loops += after.parallel_loops - before.parallel_loops;
-    stats_.parallel_chunks += after.chunks - before.chunks;
-    stats_.chunks_stolen += after.chunks_stolen - before.chunks_stolen;
-  }
+  const ThreadPoolStats after = pool_->stats();
+  stats_.parallel_loops += after.parallel_loops - before.parallel_loops;
+  stats_.parallel_chunks += after.chunks - before.chunks;
+  stats_.chunks_stolen += after.chunks_stolen - before.chunks_stolen;
   if (options_.governor != nullptr) {
     // Charges are scoped to this call; the memo/warm caches they covered
     // are cleared on the next call anyway.
@@ -293,23 +246,6 @@ Result<Relation> BoundedEvaluator::EvaluateQuery(const Query& query) {
     }
   }
   return set->ToRelation(query.answer_vars);
-}
-
-const std::vector<std::size_t>& BoundedEvaluator::RemapTable(
-    const std::vector<std::size_t>& targets,
-    const std::vector<std::size_t>& sources) {
-  std::vector<std::size_t> key;
-  key.reserve(targets.size() + sources.size() + 1);
-  key.insert(key.end(), targets.begin(), targets.end());
-  key.push_back(static_cast<std::size_t>(-1));  // unambiguous separator
-  key.insert(key.end(), sources.begin(), sources.end());
-  auto it = remap_cache_.find(key);
-  if (it != remap_cache_.end()) return it->second;
-  TupleIndexer idx(db_->domain_size(), num_vars_);
-  auto [ins, inserted] = remap_cache_.emplace(
-      std::move(key),
-      AssignmentSet::BuildRemapTable(idx, targets, sources, pool_.get()));
-  return ins->second;
 }
 
 void BoundedEvaluator::Bind(Env& env, std::size_t pred,
@@ -423,8 +359,8 @@ Result<AssignmentSet> BoundedEvaluator::EvalUncached(
                      atom.args().size()));
         }
         stats_.tuples_scanned += binding.cube().indexer().NumTuples();
-        return binding.cube().RemapByTable(
-            RemapTable(binding.coords, atom.args()), pool_.get());
+        return binding.cube().Remap(binding.coords, atom.args(),
+                                    pool_.get());
       }
       auto rel = db_->GetRelation(atom.pred());
       if (!rel.ok()) return rel.status();
@@ -708,7 +644,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalInflationaryFixpoint(
 Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
     const FixpointFormula& fp, std::size_t pred, Env& env) {
   const std::size_t n = db_->domain_size();
-  BlockLayout layout(AssignmentSet(n, num_vars_).indexer(), fp.bound_vars());
+  BlockLayout layout(TupleIndexer(n, num_vars_), fp.bound_vars());
   const std::size_t num_blocks = layout.num_blocks();
 
   // Current stage; shared so each stage binds without copying the cube.
@@ -719,17 +655,19 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
   std::vector<uint8_t> decided(num_blocks, 0);
   std::size_t num_decided = 0;
 
-  // Parallel per-block detection: SliceHash/SlicesEqual over the blocks of
-  // a stage read shared stages and write only per-block state, so they
-  // fan out cleanly; CopySlice writes are not block-disjoint at word
-  // granularity and stay serial.
-  const bool par = pool_ != nullptr && pool_->num_threads() > 1 &&
-                   num_blocks > 1 &&
-                   x->indexer().NumTuples() >= kMinParallelBits;
-  const std::size_t block_grain =
-      par ? std::max<std::size_t>(
-                1, num_blocks / (pool_->num_threads() * 4))
-          : num_blocks;
+  // Per-block detection: SliceHash/SlicesEqual over the blocks of a stage
+  // read shared stages and write only per-block state, so they fan out
+  // cleanly; CopySlice writes are not block-disjoint at word granularity
+  // and stay on the caller.
+  const std::size_t block_grain = ChunkGrain(
+      num_blocks, x->indexer().NumTuples(), pool_->num_threads(), 4);
+  auto for_each_block = [&](const std::function<void(std::size_t)>& fn) {
+    pool_->ParallelFor(
+        num_blocks, block_grain,
+        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+          for (std::size_t b = begin; b < end; ++b) fn(b);
+        });
+  };
 
   // Warm caches of monotone fixpoints nested inside a pfp are unsound (the
   // pfp iterate is not monotone); invalidate on every stage by bumping both
@@ -794,17 +732,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         // sequence cycles, so the partial fixpoint is empty there.
         return seen[b].insert(h).second ? 0 : 2;
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) {
-                outcome[b] = classify(b);
-              }
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) outcome[b] = classify(b);
-      }
+      for_each_block([&](std::size_t b) { outcome[b] = classify(b); });
       std::size_t fresh_hashes = 0;
       for (std::size_t b = 0; b < num_blocks; ++b) {
         if (decided[b]) continue;
@@ -860,15 +788,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         is_limit[b] = !decided[b] && met[b] &&
                       layout.SlicesEqual(*tortoise, *t_next, b);
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) test_limit(b);
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) test_limit(b);
-      }
+      for_each_block(test_limit);
       for (std::size_t b = 0; b < num_blocks; ++b) {
         if (decided[b] || !met[b]) continue;
         if (is_limit[b]) layout.CopySlice(*tortoise, result, b);
@@ -895,15 +815,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         if (decided[b] || met[b]) return;
         if (layout.SlicesEqual(*tortoise, *hare, b)) met[b] = 1;
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) test_met(b);
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) test_met(b);
-      }
+      for_each_block(test_met);
     }
   }
   restore();

@@ -108,9 +108,10 @@ struct BoundedEvalOptions {
   std::size_t max_so_enumeration_bits = 22;
   /// Worker lanes for the data-parallel kernels. 0 = auto
   /// (ThreadPool::DefaultThreads(), i.e. hardware concurrency unless
-  /// BVQ_THREADS overrides it); 1 = the exact single-threaded legacy code
-  /// path, no pool is created. Outputs are byte-identical for every value
-  /// (see DESIGN.md, "Threading model & determinism").
+  /// BVQ_THREADS overrides it); 1 = every kernel runs as one chunk on the
+  /// calling thread, and the pool starts no thread. Outputs are
+  /// byte-identical for every value (see DESIGN.md, "Threading model &
+  /// determinism").
   std::size_t num_threads = 0;
   /// Dependency-aware subformula memoization (DESIGN.md, "Memoization &
   /// invariant hoisting"): every subtree result is cached keyed on its
@@ -207,8 +208,7 @@ class BoundedEvaluator {
   std::size_t num_vars() const { return num_vars_; }
   const Database& database() const { return *db_; }
 
-  /// The pool backing the parallel kernels, or null when running with one
-  /// thread. Exposed so harnesses can share it (e.g. with NaiveEvaluator).
+  /// The pool backing the kernels; never null (one lane at num_threads 1).
   ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// Installs (or clears) the resource governor after construction; see
@@ -277,8 +277,7 @@ class BoundedEvaluator {
   std::size_t num_vars_;
   BoundedEvalOptions options_;
   EvalStats stats_;
-  // Owned pool for the parallel kernels; null when the resolved thread
-  // count is 1 (the legacy serial path). Joined in the destructor.
+  // Owned pool for the kernels, joined in the destructor.
   std::unique_ptr<ThreadPool> pool_;
 
   // Structural interning + dependency sets of the formula currently being
@@ -330,15 +329,6 @@ class BoundedEvaluator {
   static constexpr std::size_t kEqualityKey = static_cast<std::size_t>(-2);
   std::unordered_map<std::vector<std::size_t>, AssignmentSet, IdKeyHash>
       atom_cache_;
-
-  // Remap permutation tables keyed by {targets..., separator, sources...};
-  // rebuilt lazily per evaluation, reused across fixpoint iterations.
-  std::unordered_map<std::vector<std::size_t>, std::vector<std::size_t>,
-                     IdKeyHash>
-      remap_cache_;
-  const std::vector<std::size_t>& RemapTable(
-      const std::vector<std::size_t>& targets,
-      const std::vector<std::size_t>& sources);
 };
 
 }  // namespace bvq

@@ -29,7 +29,7 @@ Result<VarRelation> NaiveEvaluator::Evaluate(const FormulaPtr& formula) {
 Result<Relation> NaiveEvaluator::EvaluateQuery(const Query& query) {
   auto r = Eval(query.formula);
   if (!r.ok()) return r.status();
-  return AnswerTuple(*r, query.answer_vars, db_->domain_size(), pool_);
+  return AnswerTuple(*r, query.answer_vars, db_->domain_size());
 }
 
 Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
@@ -68,7 +68,7 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
             StrCat("relation ", atom.pred(), " has arity ", (*rel)->arity(),
                    ", used with ", atom.args().size()));
       }
-      return guard(FromAtom(**rel, atom.args(), pool_));
+      return guard(FromAtom(**rel, atom.args()));
     }
     case FormulaKind::kEquals: {
       const auto& eq = static_cast<const EqualsFormula&>(*f);
@@ -78,7 +78,7 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       auto sub = Eval(static_cast<const NotFormula&>(*f).sub());
       if (!sub.ok()) return sub;
       BVQ_RETURN_IF_ERROR(guard_full(sub->vars.size()));
-      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*sub, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*sub, n));
       return guard(std::move(neg));
     }
     case FormulaKind::kAnd: {
@@ -87,7 +87,7 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       if (!lhs.ok()) return lhs;
       auto rhs = Eval(b.rhs());
       if (!rhs.ok()) return rhs;
-      return guard(Join(*lhs, *rhs, pool_));
+      return guard(Join(*lhs, *rhs));
     }
     case FormulaKind::kOr: {
       const auto& b = static_cast<const BinaryFormula&>(*f);
@@ -99,7 +99,7 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       // product with the domain is the naive evaluator's blow-up point.
       std::size_t out_arity = lhs->vars.size() + rhs->vars.size();
       BVQ_RETURN_IF_ERROR(guard_full(out_arity));
-      BVQ_ASSIGN_OR_RETURN(VarRelation u, Union(*lhs, *rhs, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation u, Union(*lhs, *rhs, n));
       return guard(std::move(u));
     }
     case FormulaKind::kImplies: {
@@ -109,9 +109,9 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       auto rhs = Eval(b.rhs());
       if (!rhs.ok()) return rhs;
       BVQ_RETURN_IF_ERROR(guard_full(lhs->vars.size()));
-      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*lhs, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*lhs, n));
       BVQ_RETURN_IF_ERROR(guard_full(neg.vars.size() + rhs->vars.size()));
-      BVQ_ASSIGN_OR_RETURN(VarRelation u, Union(neg, *rhs, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation u, Union(neg, *rhs, n));
       return guard(std::move(u));
     }
     case FormulaKind::kIff: {
@@ -122,21 +122,21 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       if (!rhs.ok()) return rhs;
       BVQ_RETURN_IF_ERROR(guard_full(lhs->vars.size()));
       BVQ_RETURN_IF_ERROR(guard_full(rhs->vars.size()));
-      BVQ_ASSIGN_OR_RETURN(VarRelation nl, Complement(*lhs, n, pool_));
-      BVQ_ASSIGN_OR_RETURN(VarRelation nr, Complement(*rhs, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation nl, Complement(*lhs, n));
+      BVQ_ASSIGN_OR_RETURN(VarRelation nr, Complement(*rhs, n));
       BVQ_ASSIGN_OR_RETURN(VarRelation fwd,
-                           Union(nl, *rhs, n, pool_));  // lhs -> rhs
+                           Union(nl, *rhs, n));  // lhs -> rhs
       Record(fwd);
       BVQ_ASSIGN_OR_RETURN(VarRelation bwd,
-                           Union(nr, *lhs, n, pool_));  // rhs -> lhs
+                           Union(nr, *lhs, n));  // rhs -> lhs
       Record(bwd);
-      return guard(Join(fwd, bwd, pool_));
+      return guard(Join(fwd, bwd));
     }
     case FormulaKind::kExists: {
       const auto& q = static_cast<const QuantFormula&>(*f);
       auto body = Eval(q.body());
       if (!body.ok()) return body;
-      return guard(ProjectOut(*body, q.var(), pool_));
+      return guard(ProjectOut(*body, q.var()));
     }
     case FormulaKind::kForAll: {
       const auto& q = static_cast<const QuantFormula&>(*f);
@@ -144,11 +144,11 @@ Result<VarRelation> NaiveEvaluator::Eval(const FormulaPtr& f) {
       if (!body.ok()) return body;
       // forall x . phi == !(exists x . !phi)
       BVQ_RETURN_IF_ERROR(guard_full(body->vars.size()));
-      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*body, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation neg, Complement(*body, n));
       Record(neg);
-      VarRelation proj = ProjectOut(neg, q.var(), pool_);
+      VarRelation proj = ProjectOut(neg, q.var());
       Record(proj);
-      BVQ_ASSIGN_OR_RETURN(VarRelation comp, Complement(proj, n, pool_));
+      BVQ_ASSIGN_OR_RETURN(VarRelation comp, Complement(proj, n));
       return guard(std::move(comp));
     }
     case FormulaKind::kFixpoint:

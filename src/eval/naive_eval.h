@@ -51,11 +51,6 @@ class NaiveEvaluator {
   /// Evaluates a query (y̅)phi to its answer relation.
   Result<Relation> EvaluateQuery(const Query& query);
 
-  /// Optional thread pool for the relalg kernels; null (the default) keeps
-  /// evaluation fully serial. The pool is borrowed, not owned, and outputs
-  /// are byte-identical with or without it.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
   /// Optional resource governor (not owned): the token is polled per
   /// subformula node and every materialized intermediate relation is
   /// counted against the memory account (as a transient: the naive
@@ -71,7 +66,6 @@ class NaiveEvaluator {
 
   const Database* db_;
   std::size_t max_tuples_;
-  ThreadPool* pool_ = nullptr;
   ResourceGovernor* governor_ = nullptr;
   NaiveEvalStats stats_;
 };

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/index.h"
@@ -79,16 +80,20 @@ TEST(ThreadPoolTest, GrainHelpers) {
   // BitGrain is word-aligned so chunks own disjoint bitset words.
   for (std::size_t total : {std::size_t{1}, std::size_t{4096},
                             std::size_t{100'000}, std::size_t{1} << 20}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      EXPECT_EQ(BitGrain(total, threads) % 64, 0u);
-      EXPECT_GT(BitGrain(total, threads), 0u);
-      EXPECT_GT(RowGrain(total, threads), 0u);
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+      EXPECT_EQ(BitGrain(total, lanes) % 64, 0u);
+      EXPECT_GT(BitGrain(total, lanes), 0u);
+      EXPECT_GT(ChunkGrain(total, total, lanes, 2), 0u);
     }
   }
-  EXPECT_GE(RowGrain(10'000, 4, 256), 256u);
+  // One lane, or a cube under 4,096 bits, is a single chunk.
+  EXPECT_GE(BitGrain(1 << 20, 1), std::size_t{1} << 20);
+  EXPECT_EQ(ChunkGrain(100, 1 << 20, 1, 2), 100u);
+  EXPECT_EQ(ChunkGrain(100, 4095, 8, 2), 100u);
+  EXPECT_EQ(ChunkGrain(100, 4096, 8, 2), 7u);
 }
 
-// --- kernel-level determinism ----------------------------------------------------
+// --- kernels against definitional oracles ---------------------------------------
 
 AssignmentSet RandomCube(std::size_t n, std::size_t k, double density,
                          Rng& rng) {
@@ -100,142 +105,205 @@ AssignmentSet RandomCube(std::size_t n, std::size_t k, double density,
   return a;
 }
 
+// Builds the cube of ranks r with member(r), one rank at a time.
+template <typename Member>
+AssignmentSet PerRank(std::size_t n, std::size_t k, const Member& member) {
+  AssignmentSet out(n, k);
+  for (std::size_t r = 0; r < out.indexer().NumTuples(); ++r) {
+    if (member(r)) out.Set(r);
+  }
+  return out;
+}
+
+// Every kernel has one chunked body; these pin it to per-rank loops written
+// from the definitions, at pool null (parameter 0) and at 1, 2, 4 and 8
+// lanes. The shapes put some strides on multiples of 64 (the word-slab
+// quantifier sweep), keep n = 17 off every word boundary, and sit at or
+// above the 4,096-bit floor so the multi-lane pools really split.
 class KernelDeterminism : public ::testing::TestWithParam<std::size_t> {
  protected:
-  ThreadPool pool_{GetParam()};
+  ThreadPool* pool() { return pool_.get(); }
+
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes_ = {
+      {17, 3}, {32, 3}, {64, 2}};
+
+ private:
+  std::unique_ptr<ThreadPool> pool_ =
+      GetParam() == 0 ? nullptr : std::make_unique<ThreadPool>(GetParam());
 };
 
-// n = 32, k = 3: strides 1, 32, 1024 — exercises both the word-aligned slab
-// sweep (stride % 64 == 0) and the unaligned shard path, on a cube big
-// enough (32768 bits) to engage the pool. n = 17, k = 3 (4913 bits) keeps
-// every stride unaligned and the bit count off any word boundary.
 TEST_P(KernelDeterminism, QuantifierSweepsMatchSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
+  for (const auto& [n, k] : shapes_) {
     Rng rng(1000 + n);
-    AssignmentSet a = RandomCube(n, 3, 0.3, rng);
-    for (std::size_t var = 0; var < 3; ++var) {
-      EXPECT_EQ(a.ExistsVar(var, &pool_).bits(), a.ExistsVar(var).bits())
-          << "exists x" << var + 1 << ", n=" << n;
-      EXPECT_EQ(a.ForAllVar(var, &pool_).bits(), a.ForAllVar(var).bits())
-          << "forall x" << var + 1 << ", n=" << n;
+    // A sparse cube has empty lines and a dense one full lines, so each
+    // quantifier meets both kinds.
+    for (double density : {0.03, 0.97}) {
+      const AssignmentSet a = RandomCube(n, k, density, rng);
+      const TupleIndexer& idx = a.indexer();
+      for (std::size_t var = 0; var < k; ++var) {
+        auto line_count = [&](std::size_t r) {
+          std::size_t count = 0;
+          for (Value v = 0; v < n; ++v) {
+            count += a.Test(idx.WithDigit(r, var, v));
+          }
+          return count;
+        };
+        EXPECT_EQ(a.ExistsVar(var, pool()), PerRank(n, k, [&](std::size_t r) {
+                    return line_count(r) > 0;
+                  }))
+            << "exists x" << var + 1 << ", n=" << n;
+        EXPECT_EQ(a.ForAllVar(var, pool()), PerRank(n, k, [&](std::size_t r) {
+                    return line_count(r) == n;
+                  }))
+            << "forall x" << var + 1 << ", n=" << n;
+      }
     }
   }
 }
 
 TEST_P(KernelDeterminism, EqualityAndRemapMatchSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
-    EXPECT_EQ(AssignmentSet::Equality(n, 3, 0, 2, &pool_).bits(),
-              AssignmentSet::Equality(n, 3, 0, 2).bits());
+  for (const auto& [n, k] : shapes_) {
     Rng rng(2000 + n);
-    AssignmentSet a = RandomCube(n, 3, 0.3, rng);
-    const std::vector<std::size_t> targets = {0, 1};
-    const std::vector<std::size_t> sources = {2, 2};
-    EXPECT_EQ(a.Remap(targets, sources, &pool_).bits(),
-              a.Remap(targets, sources).bits());
-    auto table =
-        AssignmentSet::BuildRemapTable(a.indexer(), targets, sources, &pool_);
-    EXPECT_EQ(table,
-              AssignmentSet::BuildRemapTable(a.indexer(), targets, sources));
-    EXPECT_EQ(a.RemapByTable(table, &pool_).bits(),
-              a.RemapByTable(table).bits());
+    const AssignmentSet a = RandomCube(n, k, 0.3, rng);
+    const TupleIndexer& idx = a.indexer();
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(AssignmentSet::Equality(n, k, i, j, pool()),
+                  PerRank(n, k, [&](std::size_t r) {
+                    return idx.Digit(r, i) == idx.Digit(r, j);
+                  }))
+            << "x" << i + 1 << " = x" << j + 1 << ", n=" << n;
+      }
+    }
+    // Every remap with at most two targets: targets distinct, sources free
+    // to repeat and to overlap the targets.
+    std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
+        remaps = {{{}, {}}};
+    for (std::size_t t = 0; t < k; ++t) {
+      for (std::size_t s = 0; s < k; ++s) remaps.push_back({{t}, {s}});
+    }
+    for (std::size_t t0 = 0; t0 < k; ++t0) {
+      for (std::size_t t1 = 0; t1 < k; ++t1) {
+        if (t1 == t0) continue;
+        for (std::size_t s = 0; s < k * k; ++s) {
+          remaps.push_back({{t0, t1}, {s % k, s / k}});
+        }
+      }
+    }
+    for (const auto& [targets, sources] : remaps) {
+      EXPECT_EQ(a.Remap(targets, sources, pool()),
+                PerRank(n, k, [&](std::size_t r) {
+                  std::size_t read = r;
+                  for (std::size_t j = 0; j < targets.size(); ++j) {
+                    read = idx.WithDigit(read, targets[j],
+                                         idx.Digit(r, sources[j]));
+                  }
+                  return a.Test(read);
+                }))
+          << "remap of " << targets.size() << " targets, n=" << n;
+    }
   }
 }
 
 TEST_P(KernelDeterminism, FromAtomMatchesSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
+  for (const auto& [n, k] : shapes_) {
     Rng rng(3000 + n);
-    Relation rel = RandomRelation(n, 2, 0.4, rng);
-    // Plain, permuted, and repeated argument lists.
-    const std::vector<std::vector<std::size_t>> arg_lists = {
-        {0, 1}, {2, 0}, {1, 1}};
-    for (const auto& args : arg_lists) {
-      EXPECT_EQ(AssignmentSet::FromAtom(n, 3, rel, args, &pool_).bits(),
-                AssignmentSet::FromAtom(n, 3, rel, args).bits())
-          << "n=" << n;
+    // Drawn over a wider domain, so some rows hold out-of-domain values.
+    const Relation rel = RandomRelation(n + 3, 2, 0.4, rng);
+    const TupleIndexer idx(n, k);
+    // Every argument pair: plain, permuted and repeated variables.
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(AssignmentSet::FromAtom(n, k, rel, {i, j}, pool()),
+                  PerRank(n, k, [&](std::size_t r) {
+                    const Value point[2] = {idx.Digit(r, i), idx.Digit(r, j)};
+                    return rel.Contains(point);
+                  }))
+            << "R(x" << i + 1 << ", x" << j + 1 << "), n=" << n;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelDeterminism,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(0, 1, 2, 4, 8));
 
 // --- whole-evaluator determinism -------------------------------------------------
 
-// Random FO^k / FP^k / PFP^k formulas evaluated with num_threads 1, 2, 4,
-// and 8 must produce identical answer relations (1 is the legacy serial
-// path, so this pins the parallel layer to the seed behaviour).
-TEST(ParallelEvalTest, ByteIdenticalAcrossThreadCounts) {
-  Rng rng(424242);
-  RandomFormulaOptions opts;
-  opts.num_vars = 3;
-  opts.max_size = 18;
-  opts.predicates = {{"E", 2}, {"P", 1}};
-  opts.allow_fixpoints = true;
-  opts.allow_pfp = true;
-  opts.allow_ifp = true;
-
-  const std::vector<std::size_t> all_vars = {0, 1, 2};
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t n = 2 + rng.Below(4);
+// Evaluates `trials` random formulas over `opts.num_vars` variables on
+// random databases of domain size n in [min_n, max_n], at one lane and at
+// 2, 4 and 8 lanes, expecting identical answer relations. Returns the
+// parallel loops the multi-lane runs took.
+std::size_t ExpectSameAnswersAcrossLanes(const RandomFormulaOptions& opts,
+                                         PfpCycleDetection pfp, int trials,
+                                         std::size_t min_n, std::size_t max_n,
+                                         uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> all_vars(opts.num_vars);
+  for (std::size_t v = 0; v < opts.num_vars; ++v) all_vars[v] = v;
+  std::size_t loops = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::size_t n = min_n + rng.Below(max_n - min_n + 1);
     Database db(n);
-    ASSERT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.35, rng)).ok());
-    ASSERT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
+    EXPECT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.35, rng)).ok());
+    EXPECT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
     FormulaPtr f = RandomFormula(opts, rng);
     const std::string dump = FormulaToString(f) + "\n" + db.ToString();
 
-    BoundedEvalOptions serial;
-    serial.num_threads = 1;
-    BoundedEvaluator base(db, 3, serial);
+    BoundedEvalOptions options;
+    options.pfp_cycle_detection = pfp;
+    options.num_threads = 1;
+    BoundedEvaluator base(db, opts.num_vars, options);
     auto expected = base.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(expected.ok()) << dump;
-
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
-      BoundedEvalOptions par;
-      par.num_threads = threads;
-      BoundedEvaluator eval(db, 3, par);
+    EXPECT_TRUE(expected.ok()) << dump;
+    if (!expected.ok()) continue;
+    for (std::size_t lanes : {std::size_t{2}, std::size_t{4},
+                              std::size_t{8}}) {
+      options.num_threads = lanes;
+      BoundedEvaluator eval(db, opts.num_vars, options);
       auto got = eval.EvaluateQuery(Query{all_vars, f});
-      ASSERT_TRUE(got.ok()) << dump;
-      EXPECT_EQ(*got, *expected)
-          << threads << " threads differ from serial\n"
-          << dump;
+      EXPECT_TRUE(got.ok()) << dump;
+      if (!got.ok()) continue;
+      EXPECT_EQ(*got, *expected) << lanes << " lanes differ from one\n"
+                                 << dump;
+      loops += eval.stats().parallel_loops;
     }
   }
+  return loops;
 }
 
-// The Floyd PFP mode has its own parallel block sweeps; pin it separately.
-TEST(ParallelEvalTest, FloydPfpIsDeterministicAcrossThreadCounts) {
-  Rng rng(515151);
+RandomFormulaOptions FixpointFormulas(std::size_t k, std::size_t max_size) {
   RandomFormulaOptions opts;
-  opts.num_vars = 2;
-  opts.max_size = 16;
+  opts.num_vars = k;
+  opts.max_size = max_size;
   opts.predicates = {{"E", 2}, {"P", 1}};
   opts.allow_fixpoints = true;
   opts.allow_pfp = true;
+  return opts;
+}
 
-  const std::vector<std::size_t> all_vars = {0, 1};
-  for (int trial = 0; trial < 15; ++trial) {
-    const std::size_t n = 2 + rng.Below(3);
-    Database db(n);
-    ASSERT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.4, rng)).ok());
-    ASSERT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
-    FormulaPtr f = RandomFormula(opts, rng);
-    const std::string dump = FormulaToString(f) + "\n" + db.ToString();
+// Random FO^k / FP^k / PFP^k formulas answer the same at every lane count.
+// Tiny domains stay under the 4,096-bit floor; n = 17 at k = 3 (4,913 bits,
+// off every word boundary) is above it, so the fan-out is really exercised:
+// the multi-lane runs must take parallel loops.
+TEST(ParallelEvalTest, ByteIdenticalAcrossThreadCounts) {
+  RandomFormulaOptions opts = FixpointFormulas(3, 18);
+  opts.allow_ifp = true;
+  ExpectSameAnswersAcrossLanes(opts, PfpCycleDetection::kHashHistory, 25, 2,
+                               5, 424242);
+  EXPECT_GT(ExpectSameAnswersAcrossLanes(
+                opts, PfpCycleDetection::kHashHistory, 10, 17, 17, 434343),
+            0u);
+}
 
-    BoundedEvalOptions serial;
-    serial.num_threads = 1;
-    serial.pfp_cycle_detection = PfpCycleDetection::kFloyd;
-    BoundedEvaluator base(db, 2, serial);
-    auto expected = base.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(expected.ok()) << dump;
-
-    BoundedEvalOptions par = serial;
-    par.num_threads = 4;
-    BoundedEvaluator eval(db, 2, par);
-    auto got = eval.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(got.ok()) << dump;
-    EXPECT_EQ(*got, *expected) << dump;
-  }
+// The Floyd PFP mode has its own block sweeps; pin it separately.
+TEST(ParallelEvalTest, FloydPfpIsDeterministicAcrossThreadCounts) {
+  ExpectSameAnswersAcrossLanes(FixpointFormulas(2, 16),
+                               PfpCycleDetection::kFloyd, 15, 2, 4, 515151);
+  EXPECT_GT(ExpectSameAnswersAcrossLanes(FixpointFormulas(3, 16),
+                                         PfpCycleDetection::kFloyd, 10, 17, 17,
+                                         525252),
+            0u);
 }
 
 // --- checked sizing helpers -------------------------------------------------------

@@ -245,14 +245,28 @@ int ServeTcp(FrontEnd& fe, int port) {
     std::mutex mutex;
     int fd = -1;
     bool open = true;
+    std::atomic<bool> finished{false};  // the handler has closed the fd
   };
-  std::mutex conns_mutex;
-  std::vector<std::shared_ptr<ConnState>> conns;
-  std::vector<std::thread> handlers;
+  // One handler thread per live connection. Only this accept loop touches
+  // the list: it joins finished handlers on every wake, so an exited
+  // thread's stack is unmapped within ~100 ms, not at shutdown.
+  struct Handler {
+    std::shared_ptr<ConnState> state;
+    std::thread thread;
+  };
+  std::vector<Handler> handlers;
+  auto reap = [&handlers] {
+    std::erase_if(handlers, [](Handler& h) {
+      if (!h.state->finished.load()) return false;
+      h.thread.join();
+      return true;
+    });
+  };
   // Poll with a timeout so a `quit` handled on some connection thread stops
   // the listener too: accepting after close would hand new clients a dead
   // server.
   while (!fe.closed()) {
+    reap();
     pollfd pfd{listener, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready < 0) {
@@ -264,11 +278,7 @@ int ServeTcp(FrontEnd& fe, int port) {
     if (conn < 0) break;
     auto state = std::make_shared<ConnState>();
     state->fd = conn;
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex);
-      conns.push_back(state);
-    }
-    handlers.emplace_back([&fe, state] {
+    handlers.push_back({state, std::thread([&fe, state] {
       // The write side outlives the handler: eval done-callbacks capture it
       // and may fire after disconnect (cancellation is asynchronous, so a
       // cancelled query can still complete later). Every send is guarded by
@@ -325,19 +335,17 @@ int ServeTcp(FrontEnd& fe, int port) {
         state->open = false;
       }
       ::close(state->fd);
-    });
+      state->finished.store(true);
+    })});
   }
   ::close(listener);
   // Kick every connection still blocked in recv so its handler unwinds;
   // the handler owns the close.
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex);
-    for (const auto& state : conns) {
-      std::lock_guard<std::mutex> conn_lock(state->mutex);
-      if (state->open) ::shutdown(state->fd, SHUT_RDWR);
-    }
+  for (Handler& h : handlers) {
+    std::lock_guard<std::mutex> lock(h.state->mutex);
+    if (h.state->open) ::shutdown(h.state->fd, SHUT_RDWR);
   }
-  for (auto& handler : handlers) handler.join();
+  for (Handler& h : handlers) h.thread.join();
   return 0;
 }
 

@@ -79,7 +79,6 @@
 
 #include "common/resource.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 #include "datalog/datalog.h"
 #include "db/database.h"
@@ -557,14 +556,13 @@ bool HandleLine(ShellState& state, const std::string& line) {
       if (result.ok()) PrintRelation(*result);
       // Stats print even on error: a governed trip reports the partial
       // counters accumulated before the cut.
-      const std::size_t threads =
-          eval.thread_pool() ? eval.thread_pool()->num_threads() : 1;
       std::printf(
           "  [%0.2f ms, %zu fixpoint iterations, %zu node evals, "
           "%zu tuples scanned;\n   %zu threads, %zu parallel loops, "
           "%zu chunks (%zu stolen)]\n",
           ms(start, stop), eval.stats().fixpoint_iterations,
-          eval.stats().node_evals, eval.stats().tuples_scanned, threads,
+          eval.stats().node_evals, eval.stats().tuples_scanned,
+          eval.thread_pool()->num_threads(),
           eval.stats().parallel_loops, eval.stats().parallel_chunks,
           eval.stats().chunks_stolen);
       if (state.print_stats) {
@@ -588,14 +586,6 @@ bool HandleLine(ShellState& state, const std::string& line) {
     } else if (cmd == "naive") {
       NaiveEvaluator eval(state.db);
       eval.set_governor(gov);
-      const std::size_t threads = state.options.num_threads == 0
-                                      ? ThreadPool::DefaultThreads()
-                                      : state.options.num_threads;
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<ThreadPool>(threads);
-        eval.set_thread_pool(pool.get());
-      }
       auto result = eval.EvaluateQuery(*query);
       const auto stop = now();
       if (result.ok()) PrintRelation(*result);
