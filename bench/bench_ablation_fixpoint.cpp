@@ -12,7 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
+#include "bench_common.h"
 #include "common/rng.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"
@@ -33,22 +33,9 @@ FormulaPtr MonotoneNested() {
       "[lfp U(x2) . S(x2) | exists x3 . (E(x2,x3) & U(x3))](x1)](x1)");
 }
 
-Database LongPathDb(std::size_t n) {
-  Database db(n);
-  Status s = db.AddRelation("E", PathGraph(n));
-  assert(s.ok());
-  RelationBuilder p(1);
-  Value last = static_cast<Value>(n - 1);
-  p.Add(&last);
-  s = db.AddRelation("P", p.Build());
-  assert(s.ok());
-  (void)s;
-  return db;
-}
-
 void BM_Nested_NaiveRecomputation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Database db = LongPathDb(n);
+  Database db = bvq_bench::LongPathDb(n);
   FormulaPtr f = MonotoneNested();
   std::size_t iters = 0, hoists = 0;
   for (auto _ : state) {
@@ -71,7 +58,7 @@ BENCHMARK(BM_Nested_NaiveRecomputation)
 
 void BM_Nested_MonotoneReuse(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Database db = LongPathDb(n);
+  Database db = bvq_bench::LongPathDb(n);
   FormulaPtr f = MonotoneNested();
   BoundedEvalOptions opts = bvq_bench::EvalOptions();
   opts.fixpoint_strategy = FixpointStrategy::kMonotoneReuse;

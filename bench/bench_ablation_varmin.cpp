@@ -11,7 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
+#include "bench_common.h"
 #include "common/rng.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"

@@ -5,51 +5,29 @@
 // share an expensive fixpoint-with-invariant-guard subtree and differ in a
 // cheap disjunct, which is the dashboard shape batching exists for.
 //
-// Custom main (not google/benchmark) so it can emit the BENCH_batch.json
-// record the perf trajectory is tracked with:
-//
 //   bench_batch_plan [--n=28] [--reps=3] [--out=BENCH_batch.json]
 //
-// Timing is min-of-reps per batch size (N in {1, 4, 16}). Before any
-// number is written, every batched answer is asserted byte-identical to a
-// cache-off serial reference run (the seed evaluation path); a mismatch
-// aborts with exit code 1. Every multi-query batch must also actually
-// share: a plan with dedup ratio 1.0 on the overlapping workload is
-// reported as a failure, not a slow run.
+// Writes BENCH_batch.json, one row per batch size N in {1, 4, 16}. Gates:
+// every serial and batched answer is byte-identical to a cache-off serial
+// run (the seed evaluation path), and every plan of N > 1 of these
+// overlapping queries dedups (ratio > 1).
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
 
-#include "common/strings.h"
-#include "db/database.h"
-#include "db/generators.h"
+#include "bench_common.h"
 #include "plan/batch_planner.h"
-#include "serve/server.h"
 
 namespace {
 
 using namespace bvq;
 
-// The expensive shared subtree: every query of the batch contains this
-// exact lfp-with-guard formula, so the planner finds one DAG node for it
-// and the executor computes it once per batch.
-const char kInvariantGuard[] =
-    "(forall x2 . exists x3 . (E(x2,x3) | x2 = x3)) & "
-    "(forall x3 . exists x2 . (E(x2,x3) | x2 = x3)) & "
-    "(exists x2 . exists x3 . E(x2,x3)) & "
-    "(forall x2 . forall x3 . (E(x2,x3) -> !(x2 = x3)))";
-
 std::vector<std::string> MakeQueries(std::size_t count) {
-  const std::string shared = StrCat(
-      "[lfp T(x1) . P(x1) | ((exists x2 . (E(x1,x2) & T(x2))) & (",
-      kInvariantGuard, "))](x1)");
+  // Every query contains this exact lfp-with-guard formula, so the planner
+  // finds one DAG node for it and the executor computes it once per batch.
+  const std::string shared =
+      bvq_bench::InvariantGuardWorkloads().front().formula;
   // A pool of cheap per-query twists; with more queries than twists the
   // batch also contains exact repeats — both kinds of overlap occur.
   const std::vector<std::string> twists = {
@@ -66,209 +44,96 @@ std::vector<std::string> MakeQueries(std::size_t count) {
   return queries;
 }
 
-Database LongPathDb(std::size_t n) {
-  Database db(n);
-  if (!db.AddRelation("E", PathGraph(n)).ok()) std::exit(1);
-  RelationBuilder p(1);
-  Value last = static_cast<Value>(n - 1);
-  p.Add(&last);
-  if (!db.AddRelation("P", p.Build()).ok()) std::exit(1);
-  return db;
-}
-
-double MinMs(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-serve::SessionOptions SessionOpts() {
+// A fresh server with one session "s" over `db`.
+std::unique_ptr<serve::Server> OpenServer(const Database& db, bool cache) {
   serve::SessionOptions so;
   so.num_vars = 3;
   so.eval.num_threads = 1;  // measure sharing, not evaluator parallelism
-  return so;
+  so.cross_query_cache = cache;
+  auto server = std::make_unique<serve::Server>();
+  bvq_bench::Must(server->Open("s", so, db), "open");
+  return server;
 }
 
-// Serial pass: one fresh session, the queries one blocking EvalSync at a
-// time — the exact traffic a client produces without the batch protocol.
-std::vector<std::string> RunSerial(const Database& db,
-                                   const std::vector<std::string>& queries,
-                                   bool cache, double* ms) {
-  serve::Server server;
-  serve::SessionOptions so = SessionOpts();
-  so.cross_query_cache = cache;
-  if (!server.Open("s", so, db).ok()) std::exit(1);
+// The queries one blocking EvalSync at a time: the exact traffic a client
+// produces without the batch protocol.
+std::vector<std::string> RunSerial(serve::Server& server,
+                                   const std::vector<std::string>& queries) {
   std::vector<std::string> payloads;
-  const auto start = std::chrono::steady_clock::now();
   for (const std::string& query : queries) {
     const serve::EvalOutcome out = server.EvalSync("s", query);
-    if (!out.status.ok()) {
-      std::fprintf(stderr, "serial eval failed: %s\n",
-                   out.status.ToString().c_str());
-      std::exit(1);
-    }
+    bvq_bench::Must(out.status, "serial eval");
     payloads.push_back(out.payload);
   }
-  *ms = MsSince(start);
   return payloads;
 }
 
-// Batched pass: the same queries collected into one batch and planned as a
+// The same queries collected into one batch and planned as a
 // shared-subformula DAG before execution.
-std::vector<std::string> RunBatched(const Database& db,
+std::vector<std::string> RunBatched(serve::Server& server,
                                     const std::vector<std::string>& queries,
-                                    double* ms, plan::BatchStats* stats) {
-  serve::Server server;
-  if (!server.Open("s", SessionOpts(), db).ok()) std::exit(1);
-  struct Sink {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::map<std::uint64_t, std::string> payloads;
-    std::size_t failed = 0;
-  } sink;
-  const auto start = std::chrono::steady_clock::now();
-  if (!server.BatchBegin("s").ok()) std::exit(1);
+                                    plan::BatchStats* stats) {
+  std::mutex mutex;
+  std::map<std::uint64_t, std::string> payloads;
+  Status error;
+  bvq_bench::Must(server.BatchBegin("s"), "batch begin");
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!server.BatchAddWithId(i + 1, "s", queries[i]).ok()) std::exit(1);
+    bvq_bench::Must(server.BatchAddWithId(i + 1, "s", queries[i]), "batch add");
   }
-  auto result = server.BatchEnd("s", [&sink](const serve::EvalOutcome& out) {
-    {
-      std::lock_guard<std::mutex> lock(sink.mutex);
-      sink.payloads[out.id] = out.payload;
-      if (!out.status.ok()) ++sink.failed;
-    }
-    sink.cv.notify_all();
-  });
-  if (!result.ok()) {
-    std::fprintf(stderr, "batch end failed: %s\n",
-                 result.status().ToString().c_str());
-    std::exit(1);
-  }
-  {
-    std::unique_lock<std::mutex> lock(sink.mutex);
-    sink.cv.wait(lock,
-                 [&] { return sink.payloads.size() == queries.size(); });
-  }
-  *ms = MsSince(start);
-  if (sink.failed != 0) {
-    std::fprintf(stderr, "%zu batched queries failed\n", sink.failed);
-    std::exit(1);
-  }
-  *stats = *result;
-  std::vector<std::string> payloads;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    payloads.push_back(sink.payloads[i + 1]);
-  }
-  return payloads;
+  *stats = bvq_bench::Must(
+      server.BatchEnd("s",
+                      [&](const serve::EvalOutcome& out) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        payloads[out.id] = out.payload;
+                        if (!out.status.ok()) error = out.status;
+                      }),
+      "batch end");
+  server.Drain();  // every callback has returned
+  bvq_bench::Must(error, "batched eval");
+  std::vector<std::string> ordered;
+  for (const auto& [id, payload] : payloads) ordered.push_back(payload);
+  return ordered;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = 28;
-  std::size_t reps = 3;
-  std::string out_path = "BENCH_batch.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* name) {
-      return arg.substr(std::string(name).size());
-    };
-    bool ok = true;
-    if (arg.rfind("--n=", 0) == 0) {
-      ok = ParseSizeT(value_of("--n="), &n);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      ok = ParseSizeT(value_of("--reps="), &reps);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = value_of("--out=");
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "usage: bench_batch_plan [--n=N] [--reps=R] [--out=PATH]\n");
-      return 1;
-    }
-  }
-  if (reps == 0) reps = 1;
+  bvq_bench::Record rec("batch_plan", 28, "BENCH_batch.json");
+  rec.Parse(argc, argv);
+  rec.config.Set("k", 3).Set("eval_threads", 1);
 
-  const Database db = LongPathDb(n);
-  const std::vector<std::size_t> sizes = {1, 4, 16};
-  bool all_identical = true;
-  bool all_shared = true;
-  std::string rows;
-
-  std::printf("domain n=%zu, k=3, reps=%zu\n", n, reps);
-  for (std::size_t size_i = 0; size_i < sizes.size(); ++size_i) {
-    const std::size_t count = sizes[size_i];
+  const Database db = bvq_bench::LongPathDb(rec.n());
+  for (const std::size_t count : {1, 4, 16}) {
     const std::vector<std::string> queries = MakeQueries(count);
-    // The cache-off serial run is the seed path every mode must reproduce.
-    double ref_ms = 0;
-    const std::vector<std::string> reference =
-        RunSerial(db, queries, /*cache=*/false, &ref_ms);
-
-    std::vector<double> serial_times, batch_times;
+    std::unique_ptr<serve::Server> server;
+    std::vector<std::vector<std::string>> answers;  // every rep, off first
+    const auto serial = [&] { answers.push_back(RunSerial(*server, queries)); };
+    const bvq_bench::Spread off = bvq_bench::Time(
+        rec.reps(), [&] { server = OpenServer(db, false); }, serial);
+    const bvq_bench::Spread warm = bvq_bench::Time(
+        rec.reps(), [&] { server = OpenServer(db, true); }, serial);
     plan::BatchStats stats;
-    for (std::size_t r = 0; r < reps; ++r) {
-      double serial_ms = 0, batch_ms = 0;
-      const auto serial =
-          RunSerial(db, queries, /*cache=*/true, &serial_ms);
-      const auto batched = RunBatched(db, queries, &batch_ms, &stats);
-      serial_times.push_back(serial_ms);
-      batch_times.push_back(batch_ms);
-      for (std::size_t q = 0; q < count; ++q) {
-        all_identical = all_identical && serial[q] == reference[q] &&
-                        batched[q] == reference[q];
-      }
-    }
-    if (count > 1 && stats.dedup_ratio <= 1.0) all_shared = false;
-    const double serial_ms = MinMs(serial_times);
-    const double batch_ms = MinMs(batch_times);
-    const double speedup = batch_ms > 0 ? serial_ms / batch_ms : 0;
-    std::printf(
-        "N=%-3zu off %9.3f ms   serial %9.3f ms   batched %9.3f ms   %5.2fx   "
-        "nodes %zu (%zu shared, %zu materialized), %zu stages, dedup %.2f   "
-        "%s\n",
-        count, ref_ms, serial_ms, batch_ms, speedup, stats.nodes,
-        stats.shared_nodes, stats.materialized, stats.stages,
-        stats.dedup_ratio, all_identical ? "identical" : "MISMATCH");
+    const bvq_bench::Spread batched = bvq_bench::Time(
+        rec.reps(), [&] { server = OpenServer(db, true); },
+        [&] { answers.push_back(RunBatched(*server, queries, &stats)); });
 
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"queries\": %zu, \"serial_off_ms\": %.4f, "
-        "\"serial_ms\": %.4f, \"batched_ms\": %.4f,\n"
-        "     \"speedup\": %.3f, \"nodes\": %zu, \"shared_nodes\": %zu,\n"
-        "     \"materialized\": %zu, \"stages\": %zu, \"dedup_ratio\": %.3f,\n"
-        "     \"identical\": %s}%s\n",
-        count, ref_ms, serial_ms, batch_ms, speedup, stats.nodes,
-        stats.shared_nodes, stats.materialized, stats.stages,
-        stats.dedup_ratio, all_identical ? "true" : "false",
-        size_i + 1 < sizes.size() ? "," : "");
-    rows += buf;
+    bool identical = true;
+    for (const auto& a : answers) identical = identical && a == answers[0];
+    rec.Gate(identical, StrCat("N=", count, ": answers differ from cache-off"));
+    rec.Gate(count == 1 || stats.dedup_ratio > 1.0,
+             StrCat("N=", count, ": the plan shared nothing"));
+    rec.Row("batches", bvq_bench::Json()
+                           .Set("queries", count)
+                           .Set("serial_off_ms", off)
+                           .Set("serial_ms", warm)
+                           .Set("batched_ms", batched)
+                           .Set("speedup", warm.median / batched.median)
+                           .Set("nodes", stats.nodes)
+                           .Set("shared_nodes", stats.shared_nodes)
+                           .Set("materialized", stats.materialized)
+                           .Set("stages", stats.stages)
+                           .Set("dedup_ratio", stats.dedup_ratio)
+                           .Set("identical", identical));
   }
-
-  std::string json = "{\n  \"bench\": \"batch_plan\",\n";
-  json += "  \"config\": {\n";
-  json += "    \"domain_size\": " + std::to_string(n) + ",\n";
-  json += "    \"k\": 3,\n";
-  json += "    \"reps\": " + std::to_string(reps) + ",\n";
-  json += "    \"eval_threads\": 1\n  },\n";
-  json += "  \"batches\": [\n" + rows + "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!all_shared) {
-    std::fprintf(stderr, "a multi-query batch plan shared nothing\n");
-    return 1;
-  }
-  return all_identical ? 0 : 1;
+  return rec.Finish();
 }

@@ -6,34 +6,15 @@
 // their matrices are dominated by closed subformulas — exactly the shape
 // where regrounding per tuple repeats almost all of the work.
 //
-// Custom main (not google/benchmark) so it can emit the BENCH_eso.json
-// record the perf trajectory is tracked with:
-//
 //   bench_eso_incremental [--n=14] [--reps=3] [--out=BENCH_eso.json]
-//                         [--deadline-ms=N] [--mem-budget-mb=N]
 //
-// Timing is min-of-reps per configuration. Every workload asserts that the
-// incremental and scratch AssignmentSet answers are byte-identical before
-// any number is written; a mismatch aborts with exit code 1. The optional
-// governor limits bound the whole run (one shared clock/account across all
-// workloads); a trip aborts with the governor's status and exit code 1.
+// Writes BENCH_eso.json. Gate: every workload's incremental and scratch
+// answers are byte-identical.
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <vector>
+#include <optional>
 
-#include "common/resource.h"
-#include "common/strings.h"
-#include "db/database.h"
-#include "db/generators.h"
+#include "bench_common.h"
 #include "eval/eso_eval.h"
-#include "logic/parser.h"
 
 namespace {
 
@@ -43,7 +24,7 @@ constexpr std::size_t kNumVars = 2;
 
 struct Workload {
   std::string name;
-  std::string graph;  // "cycle" or "path"
+  bool cycle;  // E is the n-cycle, else the n-path
   std::string formula;
 };
 
@@ -51,163 +32,72 @@ struct Workload {
 // every candidate tuple; only the S(x1)/S(x2) literals vary with the rank.
 std::vector<Workload> Workloads() {
   return {
-      {"independent_pair", "cycle",
+      {"independent_pair", true,
        "exists2 S/1 . (S(x1) & S(x2) & "
        "(forall x1 . forall x2 . (E(x1,x2) -> !(S(x1) & S(x2)))))"},
-      {"two_coloring_split", "cycle",
+      {"two_coloring_split", true,
        "exists2 C/1 . (C(x1) & !C(x2) & "
        "(forall x1 . forall x2 . (E(x1,x2) -> "
        "((C(x1) & !C(x2)) | (!C(x1) & C(x2))))))"},
-      {"selector_cover", "path",
+      {"selector_cover", false,
        "exists2 S/2 . (S(x1,x2) & "
        "(forall x1 . exists x2 . (S(x1,x2) & (E(x1,x2) | x1 = x2))) & "
        "(forall x1 . forall x2 . (S(x1,x2) -> (E(x1,x2) | x1 = x2))))"},
   };
 }
 
-Database MakeDb(const std::string& graph, std::size_t n) {
-  Database db(n);
-  Status s = db.AddRelation("E", graph == "cycle" ? CycleGraph(n)
-                                                  : PathGraph(n));
-  assert(s.ok());
-  (void)s;
-  return db;
-}
-
-double MinMs(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 struct RunResult {
-  double ms = 0;
+  bvq_bench::Spread ms;
   AssignmentSet answer;
   EsoEvalStats stats;
 };
 
 RunResult Run(const Database& db, const FormulaPtr& f, bool incremental,
-              std::size_t reps, ResourceGovernor* governor) {
+              std::size_t reps) {
   EsoEvalOptions opts;
   opts.incremental = incremental;
-  opts.governor = governor;
   RunResult out;
-  std::vector<double> times;
-  for (std::size_t r = 0; r < reps; ++r) {
-    EsoEvaluator eval(db, kNumVars, opts);
-    const auto start = std::chrono::steady_clock::now();
-    auto result = eval.Evaluate(f);
-    const auto stop = std::chrono::steady_clock::now();
-    if (!result.ok()) {
-      std::fprintf(stderr, "eval failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    times.push_back(
-        std::chrono::duration<double, std::milli>(stop - start).count());
-    out.answer = *result;
-    out.stats = eval.stats();
-  }
-  out.ms = MinMs(times);
+  std::optional<EsoEvaluator> eval;
+  out.ms = bvq_bench::Time(
+      reps, [&] { eval.emplace(db, kNumVars, opts); },
+      [&] { out.answer = bvq_bench::Must(eval->Evaluate(f), "eval"); });
+  out.stats = eval->stats();
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = 14;
-  std::size_t reps = 3;
-  std::string out_path = "BENCH_eso.json";
-  ResourceGovernor::Limits limits;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::size_t v = 0;
-    bool ok = true;
-    if (arg.rfind("--n=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(4), &n);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(7), &reps);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(14), &v);
-      limits.deadline_ms = v;
-    } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(16), &v);
-      limits.mem_budget_bytes = v << 20;
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "usage: bench_eso_incremental [--n=N] [--reps=R] "
-                   "[--out=PATH] [--deadline-ms=N] [--mem-budget-mb=N]\n");
-      return 1;
-    }
-  }
-  ResourceGovernor governor(limits);
-  ResourceGovernor* gov =
-      (limits.deadline_ms > 0 || limits.mem_budget_bytes > 0) ? &governor
-                                                              : nullptr;
+  bvq_bench::Record rec("eso_incremental", 14, "BENCH_eso.json");
+  rec.Parse(argc, argv);
+  rec.config.Set("k", kNumVars);
 
-  std::string json = "{\n  \"bench\": \"eso_incremental\",\n";
-  json += "  \"config\": {\n";
-  json += "    \"domain_size\": " + std::to_string(n) + ",\n";
-  json += "    \"k\": " + std::to_string(kNumVars) + ",\n";
-  json += "    \"reps\": " + std::to_string(reps) + ",\n";
-  json += "    \"deadline_ms\": " + std::to_string(limits.deadline_ms) + ",\n";
-  json += "    \"mem_budget_bytes\": " +
-          std::to_string(limits.mem_budget_bytes) + "\n  },\n";
-  json += "  \"workloads\": [\n";
-
-  bool all_identical = true;
-  const auto workloads = Workloads();
-  for (std::size_t w = 0; w < workloads.size(); ++w) {
-    auto f = ParseFormula(workloads[w].formula);
-    if (!f.ok()) {
-      std::fprintf(stderr, "parse failed (%s): %s\n",
-                   workloads[w].name.c_str(), f.status().ToString().c_str());
-      return 1;
-    }
-    Database db = MakeDb(workloads[w].graph, n);
-    RunResult inc = Run(db, *f, /*incremental=*/true, reps, gov);
-    RunResult scratch = Run(db, *f, /*incremental=*/false, reps, gov);
+  for (const Workload& w : Workloads()) {
+    const FormulaPtr f = bvq_bench::Must(ParseFormula(w.formula), w.name);
+    Database db(rec.n());
+    bvq_bench::Must(db.AddRelation("E", w.cycle ? CycleGraph(rec.n())
+                                                : PathGraph(rec.n())),
+                    "db");
+    const RunResult inc = Run(db, f, /*incremental=*/true, rec.reps());
+    const RunResult scratch = Run(db, f, /*incremental=*/false, rec.reps());
     const bool identical = inc.answer == scratch.answer;
-    all_identical = all_identical && identical;
-    const double speedup = inc.ms > 0 ? scratch.ms / inc.ms : 0;
-    std::printf(
-        "%-18s incremental %8.3f ms   scratch %8.3f ms   speedup %5.2fx   "
-        "%zu SAT calls, %zu vs %zu groundings, %llu vs %llu conflicts  %s\n",
-        workloads[w].name.c_str(), inc.ms, scratch.ms, speedup,
-        inc.stats.sat_calls, inc.stats.groundings, scratch.stats.groundings,
-        static_cast<unsigned long long>(inc.stats.solver.conflicts),
-        static_cast<unsigned long long>(scratch.stats.solver.conflicts),
-        identical ? "identical" : "MISMATCH");
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"incremental_ms\": %.4f, \"scratch_ms\": "
-        "%.4f, \"speedup\": %.3f, \"sat_calls\": %zu, "
-        "\"incremental_groundings\": %zu, \"scratch_groundings\": %zu, "
-        "\"incremental_conflicts\": %llu, \"scratch_conflicts\": %llu, "
-        "\"incremental_learned\": %llu, \"deleted_clauses\": %llu, "
-        "\"cnf_vars\": %zu, \"cnf_clauses\": %zu, \"identical\": %s}%s\n",
-        workloads[w].name.c_str(), inc.ms, scratch.ms, speedup,
-        inc.stats.sat_calls, inc.stats.groundings, scratch.stats.groundings,
-        static_cast<unsigned long long>(inc.stats.solver.conflicts),
-        static_cast<unsigned long long>(scratch.stats.solver.conflicts),
-        static_cast<unsigned long long>(inc.stats.solver.learned_clauses),
-        static_cast<unsigned long long>(inc.stats.solver.deleted_clauses),
-        inc.stats.cnf_vars, inc.stats.cnf_clauses,
-        identical ? "true" : "false", w + 1 < workloads.size() ? "," : "");
-    json += buf;
+    rec.Gate(identical, w.name + ": incremental/scratch answers differ");
+    rec.Row("workloads",
+            bvq_bench::Json()
+                .Set("name", w.name)
+                .Set("incremental_ms", inc.ms)
+                .Set("scratch_ms", scratch.ms)
+                .Set("speedup", scratch.ms.median / inc.ms.median)
+                .Set("sat_calls", inc.stats.sat_calls)
+                .Set("incremental_groundings", inc.stats.groundings)
+                .Set("scratch_groundings", scratch.stats.groundings)
+                .Set("incremental_conflicts", inc.stats.solver.conflicts)
+                .Set("scratch_conflicts", scratch.stats.solver.conflicts)
+                .Set("incremental_learned", inc.stats.solver.learned_clauses)
+                .Set("deleted_clauses", inc.stats.solver.deleted_clauses)
+                .Set("cnf_vars", inc.stats.cnf_vars)
+                .Set("cnf_clauses", inc.stats.cnf_clauses)
+                .Set("identical", identical));
   }
-  json += "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("wrote %s\n", out_path.c_str());
-  return all_identical ? 0 : 1;
+  return rec.Finish();
 }

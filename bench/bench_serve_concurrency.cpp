@@ -1,278 +1,157 @@
 // Serving-layer concurrency bench: what does admission control cost, and
 // how fair is the FIFO gate under contention?
 //
-// Two measurements, emitted to BENCH_serve.json:
-//
 //  1. Admission overhead: ns per uncontended Admit/Release round trip on a
 //     single thread, for an unlimited controller and for one with a budget
 //     and cap configured (the Fits() path). This is the per-query tax the
 //     serving layer adds on top of evaluation.
 //
 //  2. Fleet fairness: 1 / 8 / 64 concurrent sessions, each submitting
-//     `queries` transitive-closure evaluations through one Server with a
+//     kQueries transitive-closure evaluations through one Server with a
 //     concurrency cap low enough that admissions actually queue. Reports
-//     aggregate throughput, mean/max end-to-end latency, mean admission
-//     queue wait, and the fairness spread — the ratio of the slowest
-//     session's mean latency to the fastest's (1.0 = perfectly fair; FIFO
-//     should keep this close to 1 even at 64 sessions).
+//     wall time, mean/max end-to-end latency, mean admission queue wait,
+//     and the fairness spread — the ratio of the slowest session's mean
+//     latency to the fastest's (1.0 = perfectly fair; FIFO should keep
+//     this close to 1 even at 64 sessions).
 //
-//   bench_serve_concurrency [--n=12] [--queries=4] [--lanes=8] [--cap=4]
-//                           [--micro-iters=50000] [--out=BENCH_serve.json]
+//   bench_serve_concurrency [--n=12] [--reps=3] [--out=BENCH_serve.json]
 //
-// Every served payload is checked against a direct BoundedEvaluator run
-// before any number is written; a mismatch aborts with exit code 1.
+// Writes BENCH_serve.json; per-fleet figures are spreads over the reps.
+// Gate: every served payload equals the direct evaluator's.
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
 
-#include "common/strings.h"
-#include "db/database.h"
-#include "db/generators.h"
-#include "eval/bounded_eval.h"
-#include "logic/parser.h"
+#include "bench_common.h"
 #include "serve/admission.h"
-#include "serve/server.h"
-#include "serve/session.h"
 
 namespace {
 
 using namespace bvq;
 using namespace bvq::serve;
 
-constexpr char kTcQuery[] =
-    "(x1,x2) [lfp T(x1,x2) . E(x1,x2) | exists x3 . (E(x1,x3) & "
-    "exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)";
+constexpr std::size_t kQueries = 4;          // per session
+constexpr std::size_t kLanes = 8;            // executor threads
+constexpr std::size_t kCap = 4;              // concurrent queries < lanes
+constexpr std::size_t kMicroIters = 50'000;  // round trips per timed rep
 
-Database CycleDb(std::size_t n) {
-  Database db(n);
-  Status s = db.AddRelation("E", CycleGraph(n));
-  if (!s.ok()) {
-    std::fprintf(stderr, "db setup failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  return db;
-}
-
-double AdmitReleaseNs(AdmissionController& ctl, std::size_t iters) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
+void AdmitRelease(AdmissionController& ctl) {
+  for (std::size_t i = 0; i < kMicroIters; ++i) {
     auto ticket = ctl.Admit(std::size_t{1} << 20);
-    if (!ticket.ok()) {
-      std::fprintf(stderr, "admission failed: %s\n",
-                   ticket.status().ToString().c_str());
-      std::exit(1);
-    }
+    if (!ticket.ok()) bvq_bench::Must(ticket.status(), "admission");
     ticket->Release();
   }
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(stop - start).count() /
-         static_cast<double>(iters);
 }
 
-struct FleetResult {
-  std::size_t sessions = 0;
-  std::size_t queries_total = 0;
-  double wall_ms = 0;
-  double mean_latency_ms = 0;
-  double max_latency_ms = 0;
-  double mean_queue_wait_ms = 0;
-  double fairness_spread = 0;  // slowest session mean / fastest session mean
+// A server with `sessions` sessions over CycleDb(n).
+std::unique_ptr<Server> OpenFleet(std::size_t sessions, std::size_t n) {
+  ServeOptions so;
+  so.executor_threads = kLanes;
+  so.admission.max_concurrent_queries = kCap;
+  so.admission.queue_wait_ms = 120'000;
+  auto server = std::make_unique<Server>(so);
+  for (std::size_t s = 0; s < sessions; ++s) {
+    bvq_bench::Must(server->Open(StrCat("s", s), SessionOptions{},
+                                 bvq_bench::CycleDb(n)),
+                    "open");
+  }
+  return server;
+}
+
+struct Sample {
+  std::size_t session = 0;
+  double latency_ms = 0;
+  double queue_wait_ms = 0;
+  bool ok = false;  // status ok and payload == the direct evaluator's
 };
 
-FleetResult RunFleet(std::size_t sessions, std::size_t queries, std::size_t n,
-                     std::size_t lanes, std::size_t cap,
-                     const std::string& expected_payload) {
-  ServeOptions so;
-  so.executor_threads = lanes;
-  so.admission.max_concurrent_queries = cap;
-  so.admission.queue_wait_ms = 120'000;
-  Server server(so);
-  for (std::size_t s = 0; s < sessions; ++s) {
-    Status st = server.Open("s" + std::to_string(s), SessionOptions{},
-                            CycleDb(n));
-    if (!st.ok()) {
-      std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-  }
-
-  struct PerQuery {
-    std::size_t session = 0;
-    double latency_ms = 0;
-    double queue_wait_ms = 0;
-  };
+// kQueries per session, submitted round-robin, then a drain.
+std::vector<Sample> RunFleet(Server& server, std::size_t sessions,
+                             const std::string& expected) {
   std::mutex mu;
-  std::vector<PerQuery> results;
-  results.reserve(sessions * queries);
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < queries; ++q) {
+  std::vector<Sample> samples;
+  for (std::size_t q = 0; q < kQueries; ++q) {
     for (std::size_t s = 0; s < sessions; ++s) {
       const auto submit = std::chrono::steady_clock::now();
-      auto id = server.EvalAsync(
-          "s" + std::to_string(s), kTcQuery,
-          [&, s, submit](const EvalOutcome& o) {
-            const double latency =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - submit)
-                    .count();
-            if (!o.status.ok() || o.payload != expected_payload) {
-              std::fprintf(stderr, "served result wrong on s%zu: %s\n", s,
-                           o.status.ToString().c_str());
-              std::exit(1);
-            }
-            std::lock_guard<std::mutex> lock(mu);
-            results.push_back({s, latency, o.queue_wait_ms});
-          });
-      if (!id.ok()) {
-        std::fprintf(stderr, "submit failed: %s\n",
-                     id.status().ToString().c_str());
-        std::exit(1);
-      }
+      bvq_bench::Must(
+          server.EvalAsync(
+              StrCat("s", s), bvq_bench::kTcQuery,
+              [&, s, submit](const EvalOutcome& o) {
+                const double latency =
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - submit)
+                        .count();
+                std::lock_guard<std::mutex> lock(mu);
+                samples.push_back({s, latency, o.queue_wait_ms,
+                                   o.status.ok() && o.payload == expected});
+              }),
+          "submit");
     }
   }
   server.Drain();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
-
-  FleetResult out;
-  out.sessions = sessions;
-  out.queries_total = results.size();
-  out.wall_ms = wall_ms;
-  std::vector<double> session_sum(sessions, 0.0);
-  std::vector<std::size_t> session_count(sessions, 0);
-  for (const PerQuery& r : results) {
-    out.mean_latency_ms += r.latency_ms;
-    out.max_latency_ms = std::max(out.max_latency_ms, r.latency_ms);
-    out.mean_queue_wait_ms += r.queue_wait_ms;
-    session_sum[r.session] += r.latency_ms;
-    ++session_count[r.session];
-  }
-  out.mean_latency_ms /= static_cast<double>(results.size());
-  out.mean_queue_wait_ms /= static_cast<double>(results.size());
-  double fastest = 0, slowest = 0;
-  for (std::size_t s = 0; s < sessions; ++s) {
-    const double mean = session_sum[s] / static_cast<double>(session_count[s]);
-    if (s == 0 || mean < fastest) fastest = mean;
-    if (s == 0 || mean > slowest) slowest = mean;
-  }
-  out.fairness_spread = fastest > 0 ? slowest / fastest : 0;
-  return out;
+  return samples;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = 12;
-  std::size_t queries = 4;
-  std::size_t lanes = 8;
-  std::size_t cap = 4;
-  std::size_t micro_iters = 50'000;
-  std::string out_path = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool ok = true;
-    if (arg.rfind("--n=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(4), &n);
-    } else if (arg.rfind("--queries=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(10), &queries);
-    } else if (arg.rfind("--lanes=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(8), &lanes);
-    } else if (arg.rfind("--cap=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(6), &cap);
-    } else if (arg.rfind("--micro-iters=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(14), &micro_iters);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "usage: bench_serve_concurrency [--n=N] [--queries=Q] "
-                   "[--lanes=L] [--cap=C] [--micro-iters=I] [--out=PATH]\n");
-      return 1;
-    }
-  }
+  bvq_bench::Record rec("serve_concurrency", 12, "BENCH_serve.json");
+  rec.Parse(argc, argv);
+  rec.config.Set("queries_per_session", kQueries)
+      .Set("lanes", kLanes)
+      .Set("cap", kCap)
+      .Set("micro_iters", kMicroIters);
 
-  // The reference payload every served query must reproduce byte for byte.
-  auto query = ParseQuery(kTcQuery);
-  if (!query.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
-  Database db = CycleDb(n);
-  BoundedEvaluator direct(db, 3);
-  auto expected = direct.EvaluateQuery(*query);
-  if (!expected.ok()) {
-    std::fprintf(stderr, "direct eval failed: %s\n",
-                 expected.status().ToString().c_str());
-    return 1;
-  }
-  const std::string expected_payload = FormatRelation(*expected, 20);
-
+  const double ns_per_trip = 1e6 / kMicroIters;  // from ms per rep
   AdmissionController unlimited;
-  const double unlimited_ns = AdmitReleaseNs(unlimited, micro_iters);
+  rec.results.Set(
+      "admit_release_ns_unlimited",
+      bvq_bench::Time(rec.reps(), [&] { AdmitRelease(unlimited); }) *
+          ns_per_trip);
   AdmissionOptions bounded_opts;
   bounded_opts.aggregate_mem_budget_bytes = std::size_t{256} << 20;
   bounded_opts.max_concurrent_queries = 64;
   AdmissionController bounded(bounded_opts);
-  const double bounded_ns = AdmitReleaseNs(bounded, micro_iters);
-  std::printf("admit/release: %7.1f ns unlimited, %7.1f ns bounded "
-              "(%zu iters)\n",
-              unlimited_ns, bounded_ns, micro_iters);
+  rec.results.Set(
+      "admit_release_ns_bounded",
+      bvq_bench::Time(rec.reps(), [&] { AdmitRelease(bounded); }) *
+          ns_per_trip);
 
-  std::string json = "{\n  \"bench\": \"serve_concurrency\",\n";
-  json += "  \"config\": {\n";
-  json += "    \"domain_size\": " + std::to_string(n) + ",\n";
-  json += "    \"queries_per_session\": " + std::to_string(queries) + ",\n";
-  json += "    \"lanes\": " + std::to_string(lanes) + ",\n";
-  json += "    \"cap\": " + std::to_string(cap) + ",\n";
-  json += "    \"micro_iters\": " + std::to_string(micro_iters) + "\n  },\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"admit_release_ns_unlimited\": %.1f,\n"
-                "  \"admit_release_ns_bounded\": %.1f,\n",
-                unlimited_ns, bounded_ns);
-  json += buf;
-  json += "  \"fleets\": [\n";
-
-  const std::size_t fleet_sizes[] = {1, 8, 64};
-  for (std::size_t i = 0; i < 3; ++i) {
-    const FleetResult r =
-        RunFleet(fleet_sizes[i], queries, n, lanes, cap, expected_payload);
-    std::printf(
-        "%3zu sessions: %4zu queries in %8.2f ms   latency %7.2f ms mean / "
-        "%7.2f ms max   queue wait %6.2f ms mean   fairness spread %.2fx\n",
-        r.sessions, r.queries_total, r.wall_ms, r.mean_latency_ms,
-        r.max_latency_ms, r.mean_queue_wait_ms, r.fairness_spread);
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"sessions\": %zu, \"queries\": %zu, \"wall_ms\": %.3f, "
-        "\"mean_latency_ms\": %.3f, \"max_latency_ms\": %.3f, "
-        "\"mean_queue_wait_ms\": %.3f, \"fairness_spread\": %.3f}%s\n",
-        r.sessions, r.queries_total, r.wall_ms, r.mean_latency_ms,
-        r.max_latency_ms, r.mean_queue_wait_ms, r.fairness_spread,
-        i + 1 < 3 ? "," : "");
-    json += buf;
+  const std::string expected = bvq_bench::TcPayload(rec.n());
+  for (const std::size_t sessions : {1, 8, 64}) {
+    std::unique_ptr<Server> server;
+    std::vector<std::vector<Sample>> reps;
+    const bvq_bench::Spread wall = bvq_bench::Time(
+        rec.reps(), [&] { server = OpenFleet(sessions, rec.n()); },
+        [&] { reps.push_back(RunFleet(*server, sessions, expected)); });
+    std::vector<double> mean_latency, max_latency, mean_wait, fairness;
+    bool ok = true;
+    for (const std::vector<Sample>& samples : reps) {
+      std::vector<double> sum(sessions, 0.0);
+      double latency = 0, worst = 0, wait = 0;
+      for (const Sample& x : samples) {
+        ok = ok && x.ok;
+        latency += x.latency_ms;
+        worst = std::max(worst, x.latency_ms);
+        wait += x.queue_wait_ms;
+        sum[x.session] += x.latency_ms;
+      }
+      mean_latency.push_back(latency / samples.size());
+      max_latency.push_back(worst);
+      mean_wait.push_back(wait / samples.size());
+      fairness.push_back(*std::max_element(sum.begin(), sum.end()) /
+                         *std::min_element(sum.begin(), sum.end()));
+    }
+    rec.Gate(ok, StrCat(sessions, " sessions: a served payload is wrong"));
+    rec.Row("fleets",
+            bvq_bench::Json()
+                .Set("sessions", sessions)
+                .Set("queries", sessions * kQueries)
+                .Set("wall_ms", wall)
+                .Set("mean_latency_ms", bvq_bench::SpreadOf(mean_latency))
+                .Set("max_latency_ms", bvq_bench::SpreadOf(max_latency))
+                .Set("mean_queue_wait_ms", bvq_bench::SpreadOf(mean_wait))
+                .Set("fairness_spread", bvq_bench::SpreadOf(fairness)));
   }
-  json += "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return rec.Finish();
 }

@@ -3,39 +3,28 @@
 // many-session workload?
 //
 // For 1 / 2 / 4 shards, a ShardRouter fork/execs that many real bvqserve
-// worker processes (each a full single-process Server with its own executor
-// lanes and admission gate — the per-worker resources a deployment would
-// give one machine slice), opens `sessions` sessions hashed across the
-// fleet, submits `queries` transitive-closure evaluations per session, and
-// measures wall time to drain. Reported per shard count: wall ms, aggregate
-// throughput (queries/s), and the speedup over the 1-shard run. Emitted to
-// BENCH_shard.json along with the host core count: the workload is pure
-// compute, so the speedup ceiling is min(shards * lanes, cores) / lanes —
-// on a single-core host every fleet size measures ~1.0x and the bench
-// degenerates to a router-overhead check (which is still worth pinning).
+// worker processes (each a full single-process Server with kLanes executor
+// lanes and an admission cap of kCap — the per-worker resources a
+// deployment would give one machine slice), opens kSessions sessions hashed
+// across the fleet, submits kQueries transitive-closure evaluations per
+// session, and times the drain. Reported per shard count: wall ms,
+// aggregate throughput (queries/s, from the median) and the speedup over
+// the 1-shard run. The workload is pure compute, so the speedup ceiling is
+// min(shards * kLanes, host_cores) / kLanes — on a single-core host every
+// fleet size measures ~1.0x and the bench degenerates to a router-overhead
+// check.
 //
-//   bench_shard_scaling [--n=12] [--sessions=64] [--queries=4] [--lanes=2]
-//                       [--cap=2] [--bvqserve=PATH] [--out=BENCH_shard.json]
+//   bench_shard_scaling [--n=12] [--reps=3] [--bvqserve=PATH]
+//                       [--out=BENCH_shard.json]
 //
-// Every served result block is checked byte-for-byte against a direct
-// BoundedEvaluator run before any number is written; a mismatch (or a lost
-// block) aborts with exit code 1.
+// Writes BENCH_shard.json. Gate: every served result block is
+// byte-identical to the direct evaluator's.
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
+#include <set>
 
-#include "common/strings.h"
-#include "db/database.h"
-#include "db/generators.h"
-#include "eval/bounded_eval.h"
-#include "logic/parser.h"
-#include "serve/server.h"
+#include "bench_common.h"
 #include "serve/shard.h"
 
 namespace {
@@ -43,219 +32,122 @@ namespace {
 using namespace bvq;
 using namespace bvq::serve;
 
-constexpr char kTcQuery[] =
-    "(x1,x2) [lfp T(x1,x2) . E(x1,x2) | exists x3 . (E(x1,x3) & "
-    "exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)";
+constexpr std::size_t kSessions = 64;
+constexpr std::size_t kQueries = 4;  // per session
+constexpr std::size_t kLanes = 2;    // per worker
+constexpr std::size_t kCap = 2;      // per worker
 
-// "rel <session> E/2 .." request line for an n-cycle.
-std::string CycleRelLine(const std::string& session, std::size_t n) {
-  std::string line = StrCat("rel ", session, " E/2");
-  for (std::size_t i = 0; i < n; ++i) {
-    line += StrCat(" ", i, " ", (i + 1) % n, " ;");
-  }
-  return line;
-}
-
-struct ShardResult {
-  std::size_t shards = 0;
-  std::size_t queries_total = 0;
-  double wall_ms = 0;
-  double throughput_qps = 0;
-};
-
-ShardResult RunFleet(const std::string& bvqserve, std::size_t shards,
-                     std::size_t sessions, std::size_t queries, std::size_t n,
-                     std::size_t lanes, std::size_t cap,
-                     const std::string& expected_payload) {
-  ShardRouter::Options options;
-  options.num_shards = shards;
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Fixed per-worker resources: adding shards adds lanes and admission
-    // slots, exactly like adding machines behind a router.
-    options.worker_commands.push_back({bvqserve, StrCat("--lanes=", lanes),
-                                       StrCat("--max-concurrent=", cap),
-                                       "--queue-wait-ms=120000"});
-  }
-  ShardRouter router(std::move(options));
-  Status started = router.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "router start failed: %s\n",
-                 started.ToString().c_str());
-    std::exit(1);
-  }
-
-  std::mutex mu;
-  std::vector<std::string> chunks;
-  auto client = router.NewClient([&](const std::string& chunk) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.push_back(chunk);
-  });
-
-  for (std::size_t s = 0; s < sessions; ++s) {
-    const std::string name = StrCat("s", s);
-    router.HandleLine(client, StrCat("open ", name, " k=3"));
-    router.HandleLine(client, StrCat("domain ", name, " ", n));
-    router.HandleLine(client, CycleRelLine(name, n));
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::size_t next_id = 1;
-  for (std::size_t q = 0; q < queries; ++q) {
-    for (std::size_t s = 0; s < sessions; ++s) {
-      router.HandleLine(
-          client, StrCat("eval ", next_id++, " s", s, " ", kTcQuery));
+// A started router over real workers, kSessions sessions on the n-cycle,
+// and every response chunk its client received.
+class Fleet {
+ public:
+  Fleet(const std::string& bvqserve, std::size_t shards, std::size_t n)
+      : router_(Workers(bvqserve, shards)) {
+    bvq_bench::Must(router_.Start(), "router start");
+    std::string edges;
+    for (std::size_t i = 0; i < n; ++i) {
+      edges += StrCat(" ", i, " ", (i + 1) % n, " ;");
+    }
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      router_.HandleLine(client_, StrCat("open s", s, " k=3"));
+      router_.HandleLine(client_, StrCat("domain s", s, " ", n));
+      router_.HandleLine(client_, StrCat("rel s", s, " E/2", edges));
     }
   }
-  router.HandleLine(client, "drain");
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
+  ~Fleet() {
+    router_.HandleLine(client_, "quit");
+    router_.Shutdown();
+  }
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
 
-  // Byte-check every block against the direct evaluator's payload.
-  const std::size_t total = queries * sessions;
-  std::size_t blocks_ok = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t id = 1; id <= total; ++id) {
-      const std::string expected =
-          StrCat("result ", id, " ok\n", expected_payload, "end ", id, "\n");
-      for (const std::string& chunk : chunks) {
-        if (chunk == expected) {
-          ++blocks_ok;
-          break;
-        }
+  // kQueries evals per session, then a drain.
+  void Run() {
+    std::size_t id = 0;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        router_.HandleLine(
+            client_, StrCat("eval ", ++id, " s", s, " ", bvq_bench::kTcQuery));
       }
     }
+    router_.HandleLine(client_, "drain");
   }
-  if (blocks_ok != total) {
-    std::fprintf(stderr,
-                 "shard run (%zu shards): %zu of %zu result blocks missing "
-                 "or wrong\n",
-                 shards, total - blocks_ok, total);
-    std::exit(1);
-  }
-  router.HandleLine(client, "quit");
-  router.Shutdown();
 
-  ShardResult out;
-  out.shards = shards;
-  out.queries_total = total;
-  out.wall_ms = wall_ms;
-  out.throughput_qps =
-      wall_ms > 0 ? static_cast<double>(total) * 1000.0 / wall_ms : 0;
-  return out;
-}
+  // Whether every eval's result block carries `payload`.
+  bool AllBlocksAre(const std::string& payload) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::set<std::string> got(chunks_.begin(), chunks_.end());
+    for (std::size_t id = 1; id <= kSessions * kQueries; ++id) {
+      if (got.count(StrCat("result ", id, " ok\n", payload, "end ", id,
+                           "\n")) == 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  // Fixed per-worker resources: adding shards adds lanes and admission
+  // slots, exactly like adding machines behind a router.
+  static ShardRouter::Options Workers(const std::string& bvqserve,
+                                      std::size_t shards) {
+    ShardRouter::Options options;
+    options.num_shards = shards;
+    options.worker_commands.assign(
+        shards, {bvqserve, StrCat("--lanes=", kLanes),
+                 StrCat("--max-concurrent=", kCap), "--queue-wait-ms=120000"});
+    return options;
+  }
+
+  std::mutex mutex_;
+  std::vector<std::string> chunks_;  // guarded by mutex_
+  ShardRouter router_;
+  const std::shared_ptr<ShardRouter::Client> client_ =
+      router_.NewClient([this](const std::string& chunk) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        chunks_.push_back(chunk);
+      });
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = 12;
-  std::size_t sessions = 64;
-  std::size_t queries = 4;
-  std::size_t lanes = 2;
-  std::size_t cap = 2;
-  std::string out_path = "BENCH_shard.json";
-  // Default worker binary: ../tools/bvqserve next to this bench binary.
-  std::string bvqserve = argv[0];
-  const std::size_t slash = bvqserve.rfind('/');
-  bvqserve = (slash == std::string::npos ? std::string(".")
-                                         : bvqserve.substr(0, slash)) +
-             "/../tools/bvqserve";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool ok = true;
-    if (arg.rfind("--n=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(4), &n);
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(11), &sessions);
-    } else if (arg.rfind("--queries=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(10), &queries);
-    } else if (arg.rfind("--lanes=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(8), &lanes);
-    } else if (arg.rfind("--cap=", 0) == 0) {
-      ok = ParseSizeT(arg.substr(6), &cap);
-    } else if (arg.rfind("--bvqserve=", 0) == 0) {
-      bvqserve = arg.substr(11);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "usage: bench_shard_scaling [--n=N] [--sessions=S] "
-                   "[--queries=Q] [--lanes=L] [--cap=C] [--bvqserve=PATH] "
-                   "[--out=PATH]\n");
-      return 1;
-    }
-  }
+  bvq_bench::Record rec("shard_scaling", 12, "BENCH_shard.json");
+  const std::string argv0 = argv[0];
+  const std::size_t slash = argv0.rfind('/');
+  std::string& bvqserve = rec.flags.Text(
+      "bvqserve",
+      (slash == std::string::npos ? "." : argv0.substr(0, slash)) +
+          "/../tools/bvqserve",
+      "worker binary");
+  rec.Parse(argc, argv);
+  rec.config.Set("sessions", kSessions)
+      .Set("queries_per_session", kQueries)
+      .Set("lanes_per_shard", kLanes)
+      .Set("cap_per_shard", kCap);
 
-  // The reference payload every served block must reproduce byte for byte.
-  auto query = ParseQuery(kTcQuery);
-  if (!query.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
-  Database db(n);
-  Status s = db.AddRelation("E", CycleGraph(n));
-  if (!s.ok()) {
-    std::fprintf(stderr, "db setup failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  BoundedEvaluator direct(db, 3);
-  auto expected = direct.EvaluateQuery(*query);
-  if (!expected.ok()) {
-    std::fprintf(stderr, "direct eval failed: %s\n",
-                 expected.status().ToString().c_str());
-    return 1;
-  }
-  const std::string expected_payload = FormatRelation(*expected, 20);
-
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores > 0 && cores < 4 * lanes) {
-    std::printf("note: %u host core(s); the compute-bound speedup ceiling "
-                "for S shards is min(S*%zu, %u)/%zu\n",
-                cores, lanes, cores, lanes);
-  }
-
-  std::string json = "{\n  \"bench\": \"shard_scaling\",\n";
-  json += "  \"config\": {\n";
-  json += "    \"domain_size\": " + std::to_string(n) + ",\n";
-  json += "    \"sessions\": " + std::to_string(sessions) + ",\n";
-  json += "    \"queries_per_session\": " + std::to_string(queries) + ",\n";
-  json += "    \"lanes_per_shard\": " + std::to_string(lanes) + ",\n";
-  json += "    \"cap_per_shard\": " + std::to_string(cap) + ",\n";
-  json += "    \"host_cores\": " + std::to_string(cores) + "\n  },\n";
-  json += "  \"fleets\": [\n";
-
-  const std::size_t shard_counts[] = {1, 2, 4};
+  const std::string expected = bvq_bench::TcPayload(rec.n());
   double base_qps = 0;
-  char buf[256];
-  for (std::size_t i = 0; i < 3; ++i) {
-    const ShardResult r = RunFleet(bvqserve, shard_counts[i], sessions,
-                                   queries, n, lanes, cap, expected_payload);
-    if (i == 0) base_qps = r.throughput_qps;
-    const double speedup = base_qps > 0 ? r.throughput_qps / base_qps : 0;
-    std::printf(
-        "%zu shard(s): %4zu queries in %8.2f ms   %8.1f q/s   %.2fx vs 1 "
-        "shard\n",
-        r.shards, r.queries_total, r.wall_ms, r.throughput_qps, speedup);
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"shards\": %zu, \"queries\": %zu, \"wall_ms\": %.3f, "
-                  "\"throughput_qps\": %.3f, \"speedup\": %.3f}%s\n",
-                  r.shards, r.queries_total, r.wall_ms, r.throughput_qps,
-                  speedup, i + 1 < 3 ? "," : "");
-    json += buf;
+  for (const std::size_t shards : {1, 2, 4}) {
+    std::vector<std::unique_ptr<Fleet>> fleets;
+    const bvq_bench::Spread wall = bvq_bench::Time(
+        rec.reps(),
+        [&] {
+          fleets.push_back(std::make_unique<Fleet>(bvqserve, shards, rec.n()));
+        },
+        [&] { fleets.back()->Run(); });
+    for (const auto& fleet : fleets) {
+      rec.Gate(fleet->AllBlocksAre(expected),
+               StrCat(shards, " shards: a result block is missing or wrong"));
+    }
+    const double qps = kSessions * kQueries * 1000.0 / wall.median;
+    if (shards == 1) base_qps = qps;
+    rec.Row("fleets", bvq_bench::Json()
+                          .Set("shards", shards)
+                          .Set("queries", kSessions * kQueries)
+                          .Set("wall_ms", wall)
+                          .Set("throughput_qps", qps)
+                          .Set("speedup", qps / base_qps));
   }
-  json += "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return rec.Finish();
 }

@@ -19,7 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include "algebra/boolean_value.h"
-#include "bench_threads.h"
+#include "bench_common.h"
 #include "algebra/word_algebra.h"
 #include "common/rng.h"
 #include "db/generators.h"

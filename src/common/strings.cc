@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "common/index.h"
+
 namespace bvq {
 
 std::vector<std::string> StrSplit(std::string_view s, char sep) {
@@ -38,6 +40,10 @@ bool ParseSizeT(std::string_view tok, std::size_t* out) {
   if (ec != std::errc() || ptr != end) return false;
   *out = value;
   return true;
+}
+
+bool MiBToBytes(std::size_t mib, std::size_t* bytes) {
+  return CheckedMul(mib, std::size_t{1} << 20, bytes);
 }
 
 }  // namespace bvq

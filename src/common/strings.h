@@ -44,6 +44,10 @@ std::string_view TrimLeft(std::string_view s);
 /// out-of-range values fail instead of throwing.
 bool ParseSizeT(std::string_view tok, std::size_t* out);
 
+/// mib MiB in bytes into *bytes; false (and *bytes untouched) if that
+/// overflows std::size_t.
+bool MiBToBytes(std::size_t mib, std::size_t* bytes);
+
 }  // namespace bvq
 
 #endif  // BVQ_COMMON_STRINGS_H_

@@ -48,6 +48,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+std::size_t ThreadPool::MaxThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return (hw == 0 ? 1 : static_cast<std::size_t>(hw)) * kMaxOversubscription;
+}
+
 std::size_t ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t hw_threads = hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -56,7 +61,7 @@ std::size_t ThreadPool::DefaultThreads() {
     // Strict parse: "8x", "", and out-of-range values all fall through to
     // the hardware default instead of being truncated or wrapping.
     if (ParseSizeT(env, &v) && v > 0) {
-      const std::size_t cap = hw_threads * kMaxOversubscription;
+      const std::size_t cap = MaxThreads();
       if (v > cap) {
         static std::atomic<bool> warned{false};
         if (!warned.exchange(true, std::memory_order_relaxed)) {

@@ -74,6 +74,11 @@ class ThreadPool {
   /// Cap on BVQ_THREADS as a multiple of hardware_concurrency().
   static constexpr std::size_t kMaxOversubscription = 4;
 
+  /// The most threads one pool may be asked for: kMaxOversubscription x
+  /// hardware_concurrency() (or x 1 when that is unknown). BVQ_THREADS is
+  /// clamped to it, and the protocol's `open threads=` rejects more.
+  static std::size_t MaxThreads();
+
   /// Installs (or clears, with nullptr) a cancellation token observed
   /// between chunks by every thread running a subsequent ParallelFor. Must
   /// not be called while a ParallelFor is in flight; the token must outlive

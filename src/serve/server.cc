@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "eval/cache_snapshot.h"
 #include "logic/analysis.h"
 #include "logic/parser.h"
@@ -631,30 +632,39 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
           !ParseSizeT(std::string_view(kv).substr(eq + 1), &value)) {
         return err(StrCat("open ", name, ": expected key=<number>, got ", kv));
       }
+      bool mib_ok = true;
       if (key == "k") {
         so.num_vars = value;
       } else if (key == "threads") {
+        if (value > ThreadPool::MaxThreads()) {
+          return err(StrCat("open ", name, ": threads=", value,
+                            " exceeds the limit of ",
+                            ThreadPool::MaxThreads()));
+        }
         so.eval.num_threads = value;
       } else if (key == "memo") {
         so.eval.memo = value != 0;
       } else if (key == "deadline-ms") {
         so.query_limits.deadline_ms = value;
       } else if (key == "mem-budget-mb") {
-        so.query_limits.mem_budget_bytes = value << 20;
+        mib_ok = MiBToBytes(value, &so.query_limits.mem_budget_bytes);
       } else if (key == "session-deadline-ms") {
         so.session_limits.deadline_ms = value;
       } else if (key == "session-mem-budget-mb") {
-        so.session_limits.mem_budget_bytes = value << 20;
+        mib_ok = MiBToBytes(value, &so.session_limits.mem_budget_bytes);
       } else if (key == "reserve-mb") {
-        so.admission_reserve_bytes = value << 20;
+        mib_ok = MiBToBytes(value, &so.admission_reserve_bytes);
       } else if (key == "cache") {
         so.cross_query_cache = value != 0;
       } else if (key == "cache-mb") {
-        so.cache_max_bytes = value << 20;
+        mib_ok = MiBToBytes(value, &so.cache_max_bytes);
       } else if (key == "batch") {
         so.batch = value != 0;
       } else {
         return err(StrCat("open ", name, ": unknown option ", kv));
+      }
+      if (!mib_ok) {
+        return err(StrCat("open ", name, ": ", kv, " overflows a byte count"));
       }
     }
     Status s = Open(name, so);

@@ -21,6 +21,7 @@
 #include "common/resource.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "db/database.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"
@@ -747,6 +748,31 @@ TEST(ServeProtocolTest, StrictNumericParsingRejectsGarbage) {
   }
   EXPECT_EQ(chunks.size(), 6u);
   EXPECT_EQ(server.sessions().size(), 0u);
+}
+
+// A MiB count whose byte count overflows size_t is an open error, not a
+// wrapped value (2^44 + 1 MiB would wrap to 1 MiB and fit this server's
+// 1 MiB aggregate), and so is threads= above the pool cap. The threads=
+// case fails before any eval, so this test starts no threads.
+TEST(ServeProtocolTest, OpenRejectsWrappingMiBAndThreadsAboveTheCap) {
+  ServeOptions so;
+  so.admission.aggregate_mem_budget_bytes = std::size_t{1} << 20;
+  Server server(so);
+  std::vector<std::string> chunks;
+  auto emit = [&](const std::string& chunk) { chunks.push_back(chunk); };
+  for (const char* key :
+       {"reserve-mb", "mem-budget-mb", "session-mem-budget-mb", "cache-mb"}) {
+    server.HandleLine(StrCat("open s k=3 ", key, "=17592186044417"), emit);
+    EXPECT_EQ(chunks.back(), StrCat("err open s: ", key,
+                                    "=17592186044417 overflows a byte count\n"));
+  }
+  const std::size_t cap = ThreadPool::MaxThreads();
+  server.HandleLine(StrCat("open t k=1 threads=", cap + 1), emit);
+  EXPECT_EQ(chunks.back(), StrCat("err open t: threads=", cap + 1,
+                                  " exceeds the limit of ", cap, "\n"));
+  EXPECT_EQ(server.sessions().size(), 0u);
+  server.HandleLine(StrCat("open t k=1 threads=", cap), emit);
+  EXPECT_EQ(chunks.back(), "ok open t\n");
 }
 
 // --- sharded router --------------------------------------------------------------

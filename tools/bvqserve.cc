@@ -397,7 +397,10 @@ int main(int argc, char** argv) {
     } else if (value_of("--cancel-fd", &v)) {
       cancel_fd = static_cast<int>(v);
     } else if (value_of("--aggregate-mb", &v)) {
-      options.admission.aggregate_mem_budget_bytes = v << 20;
+      if (!MiBToBytes(v, &options.admission.aggregate_mem_budget_bytes)) {
+        std::fprintf(stderr, "bvqserve: --aggregate-mb=%zu overflows\n", v);
+        return 2;
+      }
       raw.aggregate_mb = v;
       raw.has_aggregate = true;
     } else if (value_of("--max-concurrent", &v)) {

@@ -438,7 +438,10 @@ bool HandleLine(ShellState& state, const std::string& line) {
   if (cmd == "membudget") {
     std::size_t mb = 0;
     if (!ParseNumArg(state, cmd, rest, &mb)) return true;
-    state.limits.mem_budget_bytes = mb * (std::size_t{1} << 20);
+    if (!MiBToBytes(mb, &state.limits.mem_budget_bytes)) {
+      Fail(state, cmd, StrCat(mb, " MiB overflows a byte count"));
+      return true;
+    }
     std::printf("membudget = %zu MiB%s\n", mb, mb == 0 ? " (none)" : "");
     return true;
   }
@@ -730,7 +733,10 @@ int main(int argc, char** argv) {
     } else if (numeric_flag(&i, arg, "--deadline-ms", &v)) {
       state.limits.deadline_ms = v;
     } else if (numeric_flag(&i, arg, "--mem-budget-mb", &v)) {
-      state.limits.mem_budget_bytes = v * (std::size_t{1} << 20);
+      if (!MiBToBytes(v, &state.limits.mem_budget_bytes)) {
+        std::fprintf(stderr, "bvqsh: --mem-budget-mb=%zu overflows\n", v);
+        flag_error = true;
+      }
     } else if (arg == "--stats") {
       state.print_stats = true;
     } else if (arg == "--help" || arg == "-h") {

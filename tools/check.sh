@@ -7,9 +7,9 @@
 # The TSan pass builds with -DBVQ_SANITIZE=thread and runs the test suite
 # with BVQ_THREADS=4 so the auto thread count exercises the parallel
 # kernels; any data race in the evaluation layer fails the run. The ASan
-# pass builds with -DBVQ_SANITIZE=address,undefined and additionally
-# smoke-runs the incremental-ESO bench, whose byte-identity assertion
-# drives the solver's clause-database compaction under the sanitizers.
+# pass builds with -DBVQ_SANITIZE=address,undefined. Each tier's ctest
+# includes a small-n smoke of every record bench (bench/CMakeLists.txt), so
+# their identity and hit gates run under both sanitizers too.
 #
 # Every tier also runs the resource-governor smoke: a PFP binary counter
 # that needs >1 s ungoverned must come back as a clean DeadlineExceeded
@@ -563,7 +563,7 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest + bench/serve/shard/cache/persist/batch/deep smokes"
+    echo "plain  build + ctest (incl. bench smokes) + serve/shard/cache/persist/batch/deep smokes"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
@@ -577,12 +577,6 @@ if [[ $run_plain -eq 1 ]]; then
   cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j"$(nproc)"
   (cd "$ROOT/build" && ctest --output-on-failure -j"$(nproc)")
-  echo "== memo ablation smoke (asserts memo on/off byte-identity) =="
-  "$ROOT/build/bench/bench_memo_ablation" --n=12 --reps=1 \
-      --out="$ROOT/build/BENCH_memo_smoke.json"
-  echo "== eso incremental smoke (asserts incremental/scratch byte-identity) =="
-  "$ROOT/build/bench/bench_eso_incremental" --n=8 --reps=1 \
-      --out="$ROOT/build/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build"
   serve_smoke "$ROOT/build"
   shard_smoke "$ROOT/build"
@@ -611,9 +605,6 @@ if [[ $run_asan -eq 1 ]]; then
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DBVQ_SANITIZE=address,undefined
   cmake --build "$ROOT/build-asan" -j"$(nproc)"
   (cd "$ROOT/build-asan" && ctest --output-on-failure -j"$(nproc)")
-  echo "== eso incremental smoke under ASan+UBSan =="
-  "$ROOT/build-asan/bench/bench_eso_incremental" --n=8 --reps=1 \
-      --out="$ROOT/build-asan/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build-asan"
   serve_smoke "$ROOT/build-asan"
   shard_smoke "$ROOT/build-asan"
