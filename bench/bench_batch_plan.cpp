@@ -3,18 +3,21 @@
 // materialized once) vs. the same N queries submitted serially, one
 // EvalSync at a time against the same warm-capable session. The queries
 // share an expensive fixpoint-with-invariant-guard subtree and differ in a
-// cheap disjunct, which is the dashboard shape batching exists for.
+// cheap conjunct, which is the dashboard shape batching exists for.
 //
 //   bench_batch_plan [--n=28] [--reps=3] [--out=BENCH_batch.json]
 //
 // Writes BENCH_batch.json, one row per batch size N in {1, 4, 16}. Gates:
 // every serial and batched answer is byte-identical to a cache-off serial
-// run (the seed evaluation path), and every plan of N > 1 of these
-// overlapping queries dedups (ratio > 1).
+// run (the seed evaluation path), every batch of N > 1 holds at least two
+// distinct answers (so an answer under the wrong id cannot pass the first
+// gate), and every plan of N > 1 of these overlapping queries dedups
+// (ratio > 1).
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "bench_common.h"
 #include "plan/batch_planner.h"
@@ -29,7 +32,9 @@ std::vector<std::string> MakeQueries(std::size_t count) {
   const std::string shared =
       bvq_bench::InvariantGuardWorkloads().front().formula;
   // A pool of cheap per-query twists; with more queries than twists the
-  // batch also contains exact repeats — both kinds of overlap occur.
+  // batch also contains exact repeats — both kinds of overlap occur. On the
+  // n-path the shared lfp holds at every node, so each conjunction answers
+  // what its twist does: four different answers.
   const std::vector<std::string> twists = {
       "E(x1,x1)",
       "exists x2 . E(x1,x2)",
@@ -39,7 +44,7 @@ std::vector<std::string> MakeQueries(std::size_t count) {
   std::vector<std::string> queries;
   for (std::size_t i = 0; i < count; ++i) {
     queries.push_back(
-        StrCat("(x1) ", shared, " | (", twists[i % twists.size()], ")"));
+        StrCat("(x1) ", shared, " & (", twists[i % twists.size()], ")"));
   }
   return queries;
 }
@@ -120,6 +125,9 @@ int main(int argc, char** argv) {
     bool identical = true;
     for (const auto& a : answers) identical = identical && a == answers[0];
     rec.Gate(identical, StrCat("N=", count, ": answers differ from cache-off"));
+    const std::set<std::string> distinct(answers[0].begin(), answers[0].end());
+    rec.Gate(count == 1 || distinct.size() >= 2,
+             StrCat("N=", count, ": every query has the same answer"));
     rec.Gate(count == 1 || stats.dedup_ratio > 1.0,
              StrCat("N=", count, ": the plan shared nothing"));
     rec.Row("batches", bvq_bench::Json()

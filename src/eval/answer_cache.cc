@@ -1,6 +1,7 @@
 #include "eval/answer_cache.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace bvq {
@@ -68,20 +69,10 @@ bool AnswerCache::Lookup(const Key& key, AssignmentSet* out) {
 
 void AnswerCache::EvictOne() {
   if (!pending_.empty()) {
-    PendingEntry& victim = pending_.front();
-    bytes_ -= victim.bytes;
-    if (options_.governor != nullptr) {
-      options_.governor->Release(victim.bytes);
-    }
-    pending_.pop_front();
-    ++evictions_;
-    return;
+    DropPending(pending_.begin());
+  } else {
+    DropLive(std::prev(lru_.end()));
   }
-  Entry& victim = lru_.back();
-  bytes_ -= victim.bytes;
-  if (options_.governor != nullptr) options_.governor->Release(victim.bytes);
-  entries_.erase(victim.key);
-  lru_.pop_back();
   ++evictions_;
 }
 
@@ -134,26 +125,33 @@ void AnswerCache::Clear() {
   bytes_ = 0;
 }
 
+bool AnswerCache::IsCurrent(const Key& key, const Database& db,
+                            FreeNameMemo* names) {
+  if (key.domain_size != db.domain_size()) return false;
+  auto it = names->find(key.cls);
+  if (it == names->end()) {
+    it = names->emplace(key.cls, interner_.FreePredNames(key.cls)).first;
+  }
+  const std::vector<std::string>& free = it->second;
+  if (free.size() != key.versions.size()) return false;
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    const std::uint64_t version = db.relation_version(free[i]);
+    if (version == 0 || version != key.versions[i]) return false;
+  }
+  return true;
+}
+
 std::vector<AnswerCache::PortableEntry> AnswerCache::ExportResolved(
     const Database& db) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<PortableEntry> out;
+  FreeNameMemo names;
   for (const Entry& e : lru_) {
-    if (e.key.domain_size != db.domain_size()) continue;
-    const std::vector<std::string> names = interner_.FreePredNames(e.key.cls);
-    if (names.size() != e.key.versions.size()) continue;
-    bool current = true;
+    if (!IsCurrent(e.key, db, &names)) continue;
     std::vector<std::pair<std::string, std::uint64_t>> rels;
-    rels.reserve(names.size());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const std::uint64_t version = db.relation_version(names[i]);
-      if (version == 0 || version != e.key.versions[i]) {
-        current = false;
-        break;
-      }
-      rels.emplace_back(names[i], db.relation_fingerprint(names[i]));
+    for (const std::string& name : names.at(e.key.cls)) {
+      rels.emplace_back(name, db.relation_fingerprint(name));
     }
-    if (!current) continue;
     std::sort(rels.begin(), rels.end());
     PortableEntry pe;
     pe.key.canon = interner_.CanonicalFormOf(e.key.cls);
@@ -193,6 +191,13 @@ std::size_t AnswerCache::Restore(std::vector<PortableEntry> entries) {
   return kept;
 }
 
+AnswerCache::LruList::iterator AnswerCache::DropLive(LruList::iterator it) {
+  bytes_ -= it->bytes;
+  if (options_.governor != nullptr) options_.governor->Release(it->bytes);
+  entries_.erase(it->key);
+  return lru_.erase(it);
+}
+
 std::deque<AnswerCache::PendingEntry>::iterator AnswerCache::DropPending(
     std::deque<PendingEntry>::iterator it) {
   bytes_ -= it->bytes;
@@ -202,6 +207,12 @@ std::deque<AnswerCache::PendingEntry>::iterator AnswerCache::DropPending(
 
 std::size_t AnswerCache::ResolveAgainst(const Database& db) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Free what this write made unreachable before the pending entries join:
+  // those are keyed on db's current versions, so they would all survive.
+  FreeNameMemo names;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    it = IsCurrent(it->key, db, &names) ? std::next(it) : DropLive(it);
+  }
   std::size_t resolved = 0;
   for (auto it = pending_.begin(); it != pending_.end();) {
     const PortableKey& pk = it->entry.key;

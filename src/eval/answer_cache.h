@@ -57,8 +57,10 @@ struct AnswerCacheStats {
 /// syntactically identical subtree) and relation versions are process-wide
 /// nonces (Database::relation_version), a key matches iff the cached cube
 /// is *the* answer for that subtree on the current database: mutating or
-/// reloading a relation changes its version, so stale entries simply stop
-/// matching — invalidation never needs a flush.
+/// reloading a relation changes its version, so stale entries stop
+/// matching. Invalidation is per key, never a flush: ResolveAgainst, which
+/// every database write calls, frees exactly the entries the write made
+/// unreachable and keeps every entry that is still current.
 ///
 /// Only subtrees whose free relation variables are all database-resolved
 /// are cacheable (the BoundedEvaluator enforces this: an all-zero memo
@@ -145,12 +147,17 @@ class AnswerCache {
   /// Returns how many entries were retained.
   std::size_t Restore(std::vector<PortableEntry> entries);
 
-  /// Matches pending entries against `db`: an entry whose domain size and
-  /// relation fingerprints all match has its canonical form interned and
-  /// re-enters the live map keyed on the database's *current* versions.
-  /// Entries that don't match stay pending (the database may still be
-  /// loading); malformed or duplicate entries are dropped. Call after every
-  /// database mutation. Returns how many entries went live.
+  /// Call after every database mutation, while `db` cannot change (the
+  /// caller holds its db lock). First frees every live entry that is no
+  /// longer current on `db` — its domain size differs, or a free relation's
+  /// version is not `db`'s — and releases its bytes to max_bytes and the
+  /// governor: versions are never reused, so no later lookup could reach
+  /// it. Then matches pending entries against `db`: an entry whose domain
+  /// size and relation fingerprints all match has its canonical form
+  /// interned and re-enters the live map keyed on the database's *current*
+  /// versions. Entries that don't match stay pending (the database may
+  /// still be loading); malformed or duplicate entries are dropped. Returns
+  /// how many entries went live.
   std::size_t ResolveAgainst(const Database& db);
 
   AnswerCacheStats stats() const;
@@ -172,6 +179,18 @@ class AnswerCache {
     std::size_t bytes = 0;
   };
 
+  // FormulaInterner::FreePredNames per class, filled during one pass over
+  // the live entries: classes recur across versions, so a pass asks the
+  // interner once per class, not once per entry.
+  using FreeNameMemo =
+      std::unordered_map<std::size_t, std::vector<std::string>>;
+
+  // True iff `key` is the key the evaluator would build for its class on
+  // `db` now: the domain size is db's, and every free relation's version
+  // is db.relation_version(name) and not 0 (the relation exists). Fills
+  // `(*names)[key.cls]` when the domain matches. Requires mutex_ held.
+  bool IsCurrent(const Key& key, const Database& db, FreeNameMemo* names);
+
   // Drops the next victim — the oldest pending entry if any (restored
   // warmth is speculative; live entries were paid for by real queries), the
   // least-recently-used live entry otherwise. Requires mutex_ held and a
@@ -180,8 +199,9 @@ class AnswerCache {
   // Charges `bytes` of residency, evicting as needed; false = does not fit.
   // Requires mutex_ held.
   bool ReserveBytes(std::size_t bytes);
-  // Releases a pending entry's charge and erases it; returns the iterator
-  // past it. Requires mutex_ held.
+  // Each releases a live (pending) entry's charge and erases it; returns
+  // the iterator past it. Requires mutex_ held.
+  LruList::iterator DropLive(LruList::iterator it);
   std::deque<PendingEntry>::iterator DropPending(
       std::deque<PendingEntry>::iterator it);
 

@@ -428,6 +428,150 @@ TEST(CrossQueryCacheTest, EnvironmentDependentSubtreesStayPerQuery) {
   EXPECT_TRUE(warm == MustEval(db, 3, f, off));
 }
 
+// --- Reclamation on database writes ----------------------------------------
+
+// Touches P and no relation at all: the subtrees a write to E must spare.
+const char kPOnly[] = "P(x1) & x1 = x2";
+
+TEST(CacheReclaimTest, ReplacingEFreesEveryEDependentEntryAndKeepsTheRest) {
+  Database db = PathDbWithLastP(8);
+  AnswerCache cache;
+  BoundedEvalOptions on;
+  on.answer_cache = &cache;
+
+  // The P-only and relation-free entries first, so their residency is
+  // known; kReach then adds its E-dependent ones (and hits P(x1)).
+  MustEval(db, 3, MustParse(kPOnly), on);
+  const AnswerCacheStats survivors = cache.stats();
+  EXPECT_EQ(survivors.entries, 3u);  // the conjunction, P(x1), x1 = x2
+  MustEval(db, 3, MustParse(kReach), on);
+  EXPECT_GT(cache.stats().entries, survivors.entries);
+
+  ASSERT_TRUE(db.AddRelation("E", CycleGraph(8)).ok());
+  EXPECT_EQ(cache.ResolveAgainst(db), 0u);  // nothing pending
+  EXPECT_EQ(cache.stats().entries, survivors.entries);
+  EXPECT_EQ(cache.stats().bytes, survivors.bytes);
+  EXPECT_EQ(cache.stats().evictions, 0u);  // reclaimed, not capacity-evicted
+
+  // Every survivor still answers: the P-only query is all hits.
+  EvalStats warm;
+  MustEval(db, 3, MustParse(kPOnly), on, &warm);
+  EXPECT_GT(warm.cache_hits, 0u);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  // And the E-dependent answers are recomputed on the new E.
+  EvalStats recomputed;
+  const AssignmentSet got = MustEval(db, 3, MustParse(kReach), on,
+                                     &recomputed);
+  EXPECT_GT(recomputed.cache_misses, 0u);
+  BoundedEvalOptions off;
+  off.cross_query_cache = false;
+  EXPECT_TRUE(got == MustEval(db, 3, MustParse(kReach), off));
+}
+
+TEST(CacheReclaimTest, GovernorAccountBalancesThroughReclaimClearDestroy) {
+  ResourceGovernor session;
+  Database db = PathDbWithLastP(8);
+  {
+    AnswerCacheOptions options;
+    options.governor = &session;
+    AnswerCache cache(options);
+    BoundedEvalOptions on;
+    on.answer_cache = &cache;
+    MustEval(db, 3, MustParse(kReach), on);
+    MustEval(db, 3, MustParse(kPOnly), on);
+    EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
+
+    ASSERT_TRUE(db.AddRelation("E", CycleGraph(8)).ok());
+    cache.ResolveAgainst(db);
+    EXPECT_GT(cache.stats().bytes, 0u);
+    EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
+
+    ASSERT_TRUE(db.AddRelation("P", RelationBuilder(1).Build()).ok());
+    cache.ResolveAgainst(db);
+    EXPECT_EQ(cache.stats().entries, 1u);  // x1 = x2 alone is left
+    EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
+
+    cache.Clear();
+    EXPECT_EQ(session.stats().mem_current_bytes, 0u);
+
+    MustEval(db, 3, MustParse(kReach), on);
+    EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
+  }  // destructor releases what the last eval left resident
+  EXPECT_EQ(session.stats().mem_current_bytes, 0u);
+}
+
+TEST(CacheReclaimTest, PendingEntriesSurviveTheSweepAndResolveLater) {
+  Database db = PathDbWithLastP(8);
+  AnswerCache warm;
+  BoundedEvalOptions warm_on;
+  warm_on.answer_cache = &warm;
+  MustEval(db, 3, MustParse(kReach), warm_on);
+  std::vector<AnswerCache::PortableEntry> exported = warm.ExportResolved(db);
+  ASSERT_FALSE(exported.empty());
+
+  // A restarted session over other contents: the snapshot stays pending
+  // while live entries come and go with the writes.
+  Database other(8);
+  ASSERT_TRUE(other.AddRelation("E", CycleGraph(8)).ok());
+  ASSERT_TRUE(other.AddRelation("P", RelationBuilder(1).Build()).ok());
+  AnswerCache cache;
+  const std::size_t kept = cache.Restore(std::move(exported));
+  ASSERT_GT(kept, 0u);
+  const std::size_t pending_bytes = cache.stats().bytes;
+  EXPECT_EQ(cache.ResolveAgainst(other), 0u);
+  BoundedEvalOptions on;
+  on.answer_cache = &cache;
+  MustEval(other, 3, MustParse(kReach), on);
+  EXPECT_GT(cache.stats().entries, 0u);
+
+  // Rewriting E, even with the same contents, gives it a new version.
+  ASSERT_TRUE(other.AddRelation("E", CycleGraph(8)).ok());
+  EXPECT_EQ(cache.ResolveAgainst(other), 0u);
+  EXPECT_EQ(cache.stats().pending, kept);
+  EXPECT_EQ(cache.stats().entries, 1u);  // only the untouched P(x1)
+
+  // The snapshot's own contents come back (a reparse: new versions, same
+  // fingerprints): the other database's entries are freed, every pending
+  // entry goes live, and the next evaluation is served from them.
+  auto reparsed = ParseDatabase(db.ToString());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(cache.ResolveAgainst(*reparsed), kept);
+  EXPECT_EQ(cache.stats().pending, 0u);
+  EXPECT_EQ(cache.stats().entries, kept);
+  EXPECT_EQ(cache.stats().bytes, pending_bytes);
+  EvalStats stats;
+  const AssignmentSet got =
+      MustEval(*reparsed, 3, MustParse(kReach), on, &stats);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  BoundedEvalOptions off;
+  off.cross_query_cache = false;
+  EXPECT_TRUE(got == MustEval(db, 3, MustParse(kReach), off));
+}
+
+TEST(CacheReclaimTest, DomainChangeFreesEveryEntryOfTheOldSize) {
+  Database db = PathDbWithLastP(8);
+  ResourceGovernor session;
+  AnswerCacheOptions options;
+  options.governor = &session;
+  AnswerCache cache(options);
+  BoundedEvalOptions on;
+  on.answer_cache = &cache;
+  MustEval(db, 3, MustParse(kReach), on);
+  MustEval(db, 3, MustParse(kPOnly), on);
+  ASSERT_GT(cache.stats().entries, 0u);
+
+  // A fresh database of the same size keeps the relation-free x1 = x2: its
+  // answer depends on the domain alone.
+  cache.ResolveAgainst(Database(8));
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  cache.ResolveAgainst(Database(9));
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(session.stats().mem_current_bytes, 0u);
+}
+
 // --- Relation fingerprints (DESIGN.md §13) ----------------------------------
 
 TEST(RelationFingerprintTest, OrderIndependentAndIncrementallyMaintained) {

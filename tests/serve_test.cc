@@ -618,8 +618,9 @@ TEST(ServeCacheTest, LoadInvalidatesByVersionWithoutFlushing) {
   const auto resident = (*session)->cache()->stats().entries;
   EXPECT_GT(resident, 0u);
 
-  // Reload the database mid-session: a path instead of a cycle. Entries
-  // stay resident (no flush) but every key carries a dead version.
+  // Reload the database mid-session: a path instead of a cycle. The load
+  // frees every entry keyed on a dead E version, but it is no flush: the
+  // relation-free subtrees' entries survive.
   Database path(6);
   ASSERT_TRUE(path.AddRelation("E", PathGraph(6)).ok());
   const std::string file = ::testing::TempDir() + "/bvq_cache_load.db";
@@ -634,7 +635,9 @@ TEST(ServeCacheTest, LoadInvalidatesByVersionWithoutFlushing) {
     ASSERT_EQ(chunks.size(), 1u);
     EXPECT_EQ(chunks[0], "ok load s\n") << chunks[0];
   }
-  EXPECT_EQ((*session)->cache()->stats().entries, resident);
+  const auto kept = (*session)->cache()->stats().entries;
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, resident);
 
   // Stale E-dependent keys never match the reloaded relation's version, so
   // the fixpoint recomputes (misses); only relation-free subtrees (the
@@ -652,6 +655,33 @@ TEST(ServeCacheTest, LoadInvalidatesByVersionWithoutFlushing) {
   auto expected = direct.EvaluateQuery(*query);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(after.payload, FormatRelation(*expected, 20));
+}
+
+TEST(ServeCacheTest, WritesFreeTheEntriesTheyInvalidate) {
+  // Each `rel` replaces E, so the previous eval's E-dependent entries can
+  // never hit again. The write frees them, and residency stays where one
+  // eval left it instead of growing with the write count until the LRU
+  // cap evicts.
+  Server server;
+  auto emit = [](const std::string& chunk) {
+    EXPECT_EQ(chunk.rfind("ok rel s", 0), 0u) << chunk;
+  };
+  ASSERT_TRUE(server.Open("s", SessionOptions{}, CycleDb(6)).ok());
+  auto session = server.sessions().Get("s");
+  ASSERT_TRUE(session.ok());
+  std::size_t first_bytes = 0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    // A 6-cycle plus one chord that moves with i, so answers differ too.
+    server.HandleLine(StrCat("rel s E/2 0 1 ; 1 2 ; 2 3 ; 3 4 ; 4 5 ; 5 0 ; ",
+                             i % 6, " ", (i + 2) % 6, " ;"),
+                      emit);
+    const EvalOutcome out = server.EvalSync("s", kTcQuery);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    const std::size_t bytes = (*session)->cache()->stats().bytes;
+    if (i == 0) first_bytes = bytes;
+    ASSERT_LE(bytes, first_bytes) << "after write " << i + 1;
+  }
+  EXPECT_GT(first_bytes, 0u);
 }
 
 TEST(ServeCacheTest, ProtocolCacheCommandAndStatsCounters) {

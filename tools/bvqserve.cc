@@ -8,7 +8,10 @@
 //                          every in-flight query has drained.
 //   bvqserve --port=N      listen on 127.0.0.1:N, one handler thread per
 //                          connection, all connections sharing one Server
-//                          (sessions, admission, executor). A client
+//                          (sessions, admission, executor). Every accepted
+//                          socket sets TCP_NODELAY, so a result block that
+//                          follows its `ok eval` ack is not held back until
+//                          the client's delayed ACK (~40 ms). A client
 //                          disconnect cancels that connection's in-flight
 //                          queries (remote cancellation via CancelHandle).
 //                          A line still unterminated past 16 MiB gets
@@ -45,6 +48,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -276,6 +280,13 @@ int ServeTcp(FrontEnd& fe, int port) {
     if (ready == 0) continue;
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) break;
+    // An eval answers in two sends: the ack, then the result block once the
+    // lane finishes. With Nagle on, the block waits for the ack's ACK, which
+    // a delayed-ACK client holds for ~40 ms. The ack is not corked or held
+    // for the block: it goes out before the lane starts, and a slow query
+    // would delay it by the whole evaluation.
+    int nodelay = 1;
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     auto state = std::make_shared<ConnState>();
     state->fd = conn;
     handlers.push_back({state, std::thread([&fe, state] {

@@ -10,7 +10,8 @@
 //   k <n>                       set the variable bound (default 3)
 //   strategy naive|reuse        fixpoint strategy (default naive)
 //   pfp hash|floyd              PFP cycle detection (default hash)
-//   threads <n>                 evaluator thread count (0 = auto, 1 = serial)
+//   threads <n>                 evaluator thread count (0 = auto, 1 = serial,
+//                               at most ThreadPool::MaxThreads())
 //   memo on|off                 subformula memoization (default on)
 //   cache on|off|clear          cross-query answer cache for `eval`
 //                               (default on; `clear` drops resident
@@ -79,6 +80,7 @@
 
 #include "common/resource.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 
 #include "datalog/datalog.h"
 #include "db/database.h"
@@ -356,6 +358,12 @@ bool HandleLine(ShellState& state, const std::string& line) {
   if (cmd == "threads") {
     std::size_t n = 0;
     if (!ParseNumArg(state, cmd, rest, &n)) return true;
+    // The next eval would start n - 1 threads.
+    if (n > ThreadPool::MaxThreads()) {
+      Fail(state, cmd, StrCat(n, " exceeds the limit of ",
+                              ThreadPool::MaxThreads()));
+      return true;
+    }
     state.options.num_threads = n;
     std::printf("threads = %zu%s\n", n,
                 n == 0 ? " (auto)" : (n == 1 ? " (serial)" : ""));
@@ -723,6 +731,11 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     std::size_t v = 0;
     if (numeric_flag(&i, arg, "--threads", &v)) {
+      if (v > ThreadPool::MaxThreads()) {
+        std::fprintf(stderr, "bvqsh: --threads=%zu exceeds the limit of %zu\n",
+                     v, ThreadPool::MaxThreads());
+        flag_error = true;
+      }
       state.options.num_threads = v;
     } else if (numeric_flag(&i, arg, "--memo", &v)) {
       state.options.memo = v != 0;
