@@ -66,8 +66,7 @@ Pass RunBatch(const Database& db, const std::vector<FormulaPtr>& batch,
 
 int main(int argc, char** argv) {
   bvq_bench::Record rec("cache_warm", 40, "BENCH_cache.json");
-  const std::size_t& threads =
-      rec.flags.Num("threads", 1, 0, "evaluator threads; 0 = auto");
+  const std::size_t& threads = rec.flags.Threads();
   rec.Parse(argc, argv);
   const std::size_t reps = rec.reps();
 

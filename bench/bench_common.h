@@ -5,7 +5,7 @@
 // hit check with Record::Gate() and end with `return rec.Finish();`:
 //
 //   bvq_bench::Record rec("memo_ablation", /*n=*/40, "BENCH_memo.json");
-//   const std::size_t& threads = rec.flags.Num("threads", 1, 0, "...");
+//   const std::size_t& threads = rec.flags.Threads();
 //   rec.Parse(argc, argv);
 //
 // Every record bench takes --n, --reps (>= 1) and --out. The record's
@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -47,6 +48,7 @@
 
 #include "common/resource.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "db/database.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"
@@ -187,6 +189,17 @@ class Flags {
                    def, min)
         .num;
   }
+  // --threads: evaluator threads, 0 = BVQ_THREADS or hardware. Capped at
+  // ThreadPool::MaxThreads() like bvqsh and `open threads=`, since every
+  // evaluator a bench builds starts that many threads less one.
+  std::size_t& Threads() {
+    const std::size_t max = bvq::ThreadPool::MaxThreads();
+    return Declare("threads", Kind::kNum, "N",
+                   bvq::StrCat("evaluator threads, at most ", max,
+                               "; 0 = BVQ_THREADS or hardware"),
+                   "1", 1, 0, max)
+        .num;
+  }
   // 0 or 1.
   bool& Switch(std::string name, bool def, const std::string& help) {
     return Declare(std::move(name), Kind::kSwitch, "0|1", help,
@@ -240,19 +253,21 @@ class Flags {
   struct Def {
     std::string name;
     Kind kind;
-    std::size_t num = 0, min = 0;
+    std::size_t num = 0, min = 0, max = 0;
     bool on = false;
     std::string text;
   };
 
   Def& Declare(std::string name, Kind kind, const char* meta,
                const std::string& help, const std::string& def,
-               std::size_t num = 0, std::size_t min = 0) {
+               std::size_t num = 0, std::size_t min = 0,
+               std::size_t max = std::numeric_limits<std::size_t>::max()) {
     char line[128];
     std::snprintf(line, sizeof(line), "  --%-20s %s (default %s)\n",
                   (name + "=" + meta).c_str(), help.c_str(), def.c_str());
     usage_ += line;
-    return defs_.emplace_back(Def{std::move(name), kind, num, min, false, {}});
+    return defs_.emplace_back(
+        Def{std::move(name), kind, num, min, max, false, {}});
   }
 
   bool Set(std::string_view arg) {
@@ -264,7 +279,8 @@ class Flags {
       if (d.name != name) continue;
       switch (d.kind) {
         case Kind::kNum:
-          return bvq::ParseSizeT(value, &d.num) && d.num >= d.min;
+          return bvq::ParseSizeT(value, &d.num) && d.num >= d.min &&
+                 d.num <= d.max;
         case Kind::kSwitch:
           d.on = value == "1";
           return value == "0" || value == "1";
@@ -442,8 +458,7 @@ inline std::string TcPayload(std::size_t n) {
 
 struct EngineFlags {
   Flags flags;
-  std::size_t& threads = flags.Num(
-      "threads", 1, 0, "evaluator threads; 0 = BVQ_THREADS or hardware");
+  std::size_t& threads = flags.Threads();
   bool& memo = flags.Switch("memo", true, "dependency-aware subformula memo");
   std::size_t& deadline_ms =
       flags.Num("deadline-ms", 0, 0, "governor deadline for the run; 0 = none");

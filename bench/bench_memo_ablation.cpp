@@ -43,8 +43,7 @@ RunResult Run(const Database& db, const FormulaPtr& f, bool memo,
 
 int main(int argc, char** argv) {
   bvq_bench::Record rec("memo_ablation", 40, "BENCH_memo.json");
-  const std::size_t& threads =
-      rec.flags.Num("threads", 1, 0, "evaluator threads; 0 = auto");
+  const std::size_t& threads = rec.flags.Threads();
   rec.Parse(argc, argv);
   rec.config.Set("k", 3);
 

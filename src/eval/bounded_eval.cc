@@ -475,16 +475,11 @@ Result<AssignmentSet> BoundedEvaluator::EvalUncached(
       if (fp.op() == FixpointKind::kPartial) {
         return EvalPartialFixpoint(fp, facts.pred, env);
       }
-      if (fp.op() == FixpointKind::kInflationary) {
-        return EvalInflationaryFixpoint(fp, facts.pred, env);
-      }
-      if (!OccursOnlyPositively(fp.body(), fp.rel_var())) {
+      if (fp.op() != FixpointKind::kInflationary &&
+          !OccursOnlyPositively(fp.body(), fp.rel_var())) {
         return Status::TypeError(
             StrCat("recursion variable ", fp.rel_var(),
                    " must occur positively in lfp/gfp body"));
-      }
-      if (options_.fixpoint_strategy == FixpointStrategy::kMonotoneReuse) {
-        return EvalMonotoneFixpoint(fp, facts.pred, env);
       }
       return EvalFixpoint(fp, facts.pred, env);
     }
@@ -495,45 +490,100 @@ Result<AssignmentSet> BoundedEvaluator::EvalUncached(
   return Status::Internal("unreachable formula kind");
 }
 
+// Scope of one fixpoint or second-order loop over relation variable `pred`.
+// While it lives, memo hits count as invariant hoists; on every exit it
+// restores the binding the loop shadowed (and with it the outer version,
+// revalidating memo entries taken under it) and releases what the loop
+// charged through it.
+class BoundedEvaluator::LoopScope {
+ public:
+  LoopScope(BoundedEvaluator& eval, Env& env, std::size_t pred)
+      : eval_(eval), env_(env), pred_(pred), outer_(env[pred]) {
+    ++eval_.loop_depth_;
+  }
+  ~LoopScope() {
+    --eval_.loop_depth_;
+    env_[pred_] = std::move(outer_);
+    eval_.ReleaseBytes(charged_);
+  }
+  LoopScope(const LoopScope&) = delete;
+  LoopScope& operator=(const LoopScope&) = delete;
+
+  // Charges `bytes` for the rest of the loop.
+  Status Charge(std::size_t bytes) {
+    charged_ += bytes;
+    return eval_.ChargeBytes(bytes);
+  }
+
+ private:
+  BoundedEvaluator& eval_;
+  Env& env_;
+  std::size_t pred_;
+  std::optional<RelVarBinding> outer_;
+  std::size_t charged_ = 0;
+};
+
+Result<AssignmentSet> BoundedEvaluator::Stage(
+    const FixpointFormula& fp, std::size_t pred,
+    const std::shared_ptr<const AssignmentSet>& x, Env& env) {
+  Bind(env, pred, x, fp.bound_vars());
+  ++stats_.fixpoint_iterations;
+  ++stats_.iterate_copies_avoided;
+  stats_.tuples_scanned += x->indexer().NumTuples();
+  if (fp.op() == FixpointKind::kInflationary ||
+      fp.op() == FixpointKind::kPartial) {
+    // A body iterated without monotonicity invalidates the warm-start
+    // caches of every monotone fixpoint beneath it.
+    ++epoch_[0];
+    ++epoch_[1];
+  }
+  return Eval(fp.body(), env);
+}
+
 Result<AssignmentSet> BoundedEvaluator::EvalFixpoint(
     const FixpointFormula& fp, std::size_t pred, Env& env) {
   const std::size_t n = db_->domain_size();
-  const bool is_least = fp.op() == FixpointKind::kLeast;
-  auto x = std::make_shared<const AssignmentSet>(
-      is_least ? AssignmentSet(n, num_vars_)
-               : AssignmentSet::Full(n, num_vars_));
-  // One charge covers the whole loop: every iterate is the same-size cube,
-  // replaced (not accumulated) each round.
-  BVQ_RETURN_IF_ERROR(ChargeCube(*x));
-  // Save and shadow any outer binding of the same name; restoring the
-  // optional also restores its version, revalidating memo entries taken
-  // under the outer binding.
-  const std::optional<RelVarBinding> outer = env[pred];
-
-  const std::size_t max_iters = x->indexer().NumTuples() + 2;
-  bool converged = false;
-  ++loop_depth_;
-  for (std::size_t iter = 0; iter <= max_iters; ++iter) {
-    Bind(env, pred, x, fp.bound_vars());
-    ++stats_.fixpoint_iterations;
-    ++stats_.iterate_copies_avoided;
-    stats_.tuples_scanned += x->indexer().NumTuples();
-    auto next = Eval(fp.body(), env);
-    if (!next.ok()) {
-      --loop_depth_;
-      env[pred] = outer;
-      ReleaseCube(*x);
-      return next;
-    }
-    if (*next == *x) {
-      converged = true;
-      break;
-    }
-    x = std::make_shared<const AssignmentSet>(std::move(*next));
+  // IFP: X_{i+1} = X_i union phi(X_i); increasing by construction, so it
+  // converges within n^k stages regardless of the body's shape.
+  const bool inflationary = fp.op() == FixpointKind::kInflationary;
+  const int pol = fp.op() == FixpointKind::kGreatest ? 1 : 0;
+  // Footnote 5: under kMonotoneReuse an lfp/gfp starts from its last value
+  // while no enclosing opposite-polarity fixpoint has advanced since.
+  const bool reuse =
+      !inflationary &&
+      options_.fixpoint_strategy == FixpointStrategy::kMonotoneReuse;
+  std::shared_ptr<const AssignmentSet> x;
+  auto warm = reuse ? warm_cache_.find(&fp) : warm_cache_.end();
+  if (warm != warm_cache_.end() && warm->second.epoch == epoch_[pol]) {
+    x = std::make_shared<const AssignmentSet>(warm->second.value);
+    ++stats_.warm_starts;
+  } else {
+    x = std::make_shared<const AssignmentSet>(
+        pol == 1 ? AssignmentSet::Full(n, num_vars_)
+                 : AssignmentSet(n, num_vars_));
   }
-  --loop_depth_;
-  env[pred] = outer;
-  ReleaseCube(*x);
+  bool converged = false;
+  {
+    LoopScope scope(*this, env, pred);
+    // One charge covers the whole loop: every iterate is the same-size
+    // cube, replaced (not accumulated) each round.
+    BVQ_RETURN_IF_ERROR(scope.Charge(x->ByteSize()));
+    const std::size_t max_iters = x->indexer().NumTuples() + 2;
+    for (std::size_t iter = 0; iter <= max_iters; ++iter) {
+      auto next = Stage(fp, pred, x, env);
+      if (!next.ok()) return next;
+      if (inflationary) next->OrWith(*x);
+      if (*next == *x) {
+        converged = true;
+        break;
+      }
+      x = std::make_shared<const AssignmentSet>(std::move(*next));
+      // Advancing this iterate invalidates warm caches of opposite-polarity
+      // fixpoints (their operators just moved in the non-monotone direction
+      // for them); bumping both epochs would forfeit same-polarity reuse.
+      if (reuse) ++epoch_[1 - pol];
+    }
+  }
   if (!converged) {
     // A syntactically positive body can still induce a non-monotone
     // operator when the recursion variable passes through a pfp body.
@@ -541,103 +591,16 @@ Result<AssignmentSet> BoundedEvaluator::EvalFixpoint(
         StrCat("fixpoint ", fp.rel_var(),
                " did not converge; operator is not monotone"));
   }
-  return x->Remap(fp.bound_vars(), fp.apply_args(), pool_.get());
-}
-
-Result<AssignmentSet> BoundedEvaluator::EvalMonotoneFixpoint(
-    const FixpointFormula& fp, std::size_t pred, Env& env) {
-  const std::size_t n = db_->domain_size();
-  const bool is_least = fp.op() == FixpointKind::kLeast;
-  const int pol = is_least ? 0 : 1;
-
-  auto x = std::make_shared<const AssignmentSet>(
-      is_least ? AssignmentSet(n, num_vars_)
-               : AssignmentSet::Full(n, num_vars_));
-  auto cached = warm_cache_.find(&fp);
-  if (cached != warm_cache_.end() && cached->second.epoch == epoch_[pol]) {
-    x = std::make_shared<const AssignmentSet>(cached->second.value);
-    ++stats_.warm_starts;
+  if (reuse) {
+    // The warm cache keeps a copy of the converged iterate for the rest of
+    // the call (released in bulk at EvaluateWithEnv exit). It is charged
+    // only after the loop scope released the iterate, so the peak holds
+    // one of the two cubes, not both.
+    auto old = warm_cache_.find(&fp);
+    if (old != warm_cache_.end()) ReleaseCube(old->second.value);
+    BVQ_RETURN_IF_ERROR(ChargeCube(*x));
+    warm_cache_.insert_or_assign(&fp, CacheEntry{*x, epoch_[pol]});
   }
-  BVQ_RETURN_IF_ERROR(ChargeCube(*x));
-
-  const std::optional<RelVarBinding> outer = env[pred];
-
-  const std::size_t max_iters = x->indexer().NumTuples() + 2;
-  bool converged = false;
-  ++loop_depth_;
-  for (std::size_t iter = 0; iter <= max_iters; ++iter) {
-    Bind(env, pred, x, fp.bound_vars());
-    ++stats_.fixpoint_iterations;
-    ++stats_.iterate_copies_avoided;
-    stats_.tuples_scanned += x->indexer().NumTuples();
-    auto next = Eval(fp.body(), env);
-    if (!next.ok()) {
-      --loop_depth_;
-      env[pred] = outer;
-      ReleaseCube(*x);
-      return next;
-    }
-    if (*next == *x) {
-      converged = true;
-      break;
-    }
-    x = std::make_shared<const AssignmentSet>(std::move(*next));
-    // Advancing this iterate invalidates warm caches of opposite-polarity
-    // fixpoints (their operators just moved in the non-monotone direction
-    // for them).
-    ++epoch_[1 - pol];
-  }
-  --loop_depth_;
-  env[pred] = outer;
-  ReleaseCube(*x);
-  if (!converged) {
-    return Status::TypeError(
-        StrCat("fixpoint ", fp.rel_var(),
-               " did not converge; operator is not monotone"));
-  }
-  // The warm cache keeps a copy of the converged iterate for the rest of
-  // the call (released in bulk at EvaluateWithEnv exit).
-  const bool overwrote = warm_cache_.count(&fp) > 0;
-  if (overwrote) ReleaseCube(warm_cache_.at(&fp).value);
-  BVQ_RETURN_IF_ERROR(ChargeCube(*x));
-  warm_cache_.insert_or_assign(&fp, CacheEntry{*x, epoch_[pol]});
-  return x->Remap(fp.bound_vars(), fp.apply_args(), pool_.get());
-}
-
-Result<AssignmentSet> BoundedEvaluator::EvalInflationaryFixpoint(
-    const FixpointFormula& fp, std::size_t pred, Env& env) {
-  // IFP: X_{i+1} = X_i union phi(X_i); increasing by construction, so it
-  // converges within n^k stages regardless of the body's shape.
-  const std::size_t n = db_->domain_size();
-  auto x = std::make_shared<const AssignmentSet>(AssignmentSet(n, num_vars_));
-  BVQ_RETURN_IF_ERROR(ChargeCube(*x));
-  const std::optional<RelVarBinding> outer = env[pred];
-
-  const std::size_t max_iters = x->indexer().NumTuples() + 2;
-  ++loop_depth_;
-  for (std::size_t iter = 0; iter <= max_iters; ++iter) {
-    Bind(env, pred, x, fp.bound_vars());
-    ++stats_.fixpoint_iterations;
-    ++stats_.iterate_copies_avoided;
-    stats_.tuples_scanned += x->indexer().NumTuples();
-    // The arbitrary (possibly non-monotone) body invalidates monotone
-    // warm-start caches beneath, like pfp does.
-    ++epoch_[0];
-    ++epoch_[1];
-    auto next = Eval(fp.body(), env);
-    if (!next.ok()) {
-      --loop_depth_;
-      env[pred] = outer;
-      ReleaseCube(*x);
-      return next;
-    }
-    next->OrWith(*x);
-    if (*next == *x) break;
-    x = std::make_shared<const AssignmentSet>(std::move(*next));
-  }
-  --loop_depth_;
-  env[pred] = outer;
-  ReleaseCube(*x);
   return x->Remap(fp.bound_vars(), fp.apply_args(), pool_.get());
 }
 
@@ -654,6 +617,13 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
   // distinct blocks from different chunks, which must not share storage.
   std::vector<uint8_t> decided(num_blocks, 0);
   std::size_t num_decided = 0;
+  // Settles block b: its limit slice is copied from `stage`, or, when the
+  // block cycles, the slice stays empty.
+  auto decide = [&](std::size_t b, bool limit, const AssignmentSet& stage) {
+    if (limit) layout.CopySlice(stage, result, b);
+    decided[b] = 1;
+    ++num_decided;
+  };
 
   // Per-block detection: SliceHash/SlicesEqual over the blocks of a stage
   // read shared stages and write only per-block state, so they fan out
@@ -669,58 +639,27 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         });
   };
 
-  // Warm caches of monotone fixpoints nested inside a pfp are unsound (the
-  // pfp iterate is not monotone); invalidate on every stage by bumping both
-  // epochs below.
-
-  const std::optional<RelVarBinding> outer = env[pred];
   // PFP's long-lived cubes: the iterate and the assembled result, plus the
   // tortoise/hare pair in Floyd mode. Hash mode additionally charges the
   // stage history as it grows (payload bytes; one uint64 per stage per
   // undecided block — the O(#stages) space Floyd mode exists to avoid).
-  const std::size_t cube_bytes = x->ByteSize();
-  std::size_t pfp_charged = 0;
-  auto charge = [&](std::size_t bytes) -> Status {
-    pfp_charged += bytes;
-    return ChargeBytes(bytes);
-  };
   const bool floyd =
       options_.pfp_cycle_detection == PfpCycleDetection::kFloyd;
-  BVQ_RETURN_IF_ERROR(charge(cube_bytes * (floyd ? 4 : 2)));
-  ++loop_depth_;
-  auto restore = [&]() {
-    --loop_depth_;
-    env[pred] = outer;
-    ReleaseBytes(pfp_charged);
-  };
+  LoopScope scope(*this, env, pred);
+  BVQ_RETURN_IF_ERROR(scope.Charge(x->ByteSize() * (floyd ? 4 : 2)));
 
   if (!floyd) {
     std::vector<std::unordered_set<uint64_t>> seen(num_blocks);
     for (std::size_t b = 0; b < num_blocks; ++b) {
       seen[b].insert(layout.SliceHash(*x, b));
     }
-    {
-      Status cs = charge(num_blocks * sizeof(uint64_t));
-      if (!cs.ok()) {
-        restore();
-        return cs;
-      }
-    }
+    BVQ_RETURN_IF_ERROR(scope.Charge(num_blocks * sizeof(uint64_t)));
     // Per-block stage outcome: 0 = still running, 1 = limit reached (copy
     // the slice), 2 = cycle detected (slice stays empty).
     std::vector<uint8_t> outcome(num_blocks, 0);
     while (num_decided < num_blocks) {
-      Bind(env, pred, x, fp.bound_vars());
-      ++stats_.fixpoint_iterations;
-      ++stats_.iterate_copies_avoided;
-      stats_.tuples_scanned += x->indexer().NumTuples();
-      ++epoch_[0];
-      ++epoch_[1];
-      auto next = Eval(fp.body(), env);
-      if (!next.ok()) {
-        restore();
-        return next;
-      }
+      auto next = Stage(fp, pred, x, env);
+      if (!next.ok()) return next;
       auto classify = [&](std::size_t b) -> uint8_t {
         if (decided[b]) return 0;
         if (layout.SlicesEqual(*x, *next, b)) {
@@ -741,17 +680,10 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
           ++fresh_hashes;
           continue;
         }
-        if (outcome[b] == 1) layout.CopySlice(*next, result, b);
-        decided[b] = 1;
-        ++num_decided;
+        decide(b, outcome[b] == 1, *next);
       }
-      if (fresh_hashes > 0) {
-        Status cs = charge(fresh_hashes * sizeof(uint64_t));
-        if (!cs.ok()) {
-          restore();
-          return cs;
-        }
-      }
+      // A zero-byte charge never reaches the governor.
+      BVQ_RETURN_IF_ERROR(scope.Charge(fresh_hashes * sizeof(uint64_t)));
       x = std::make_shared<const AssignmentSet>(std::move(*next));
     }
   } else {
@@ -765,23 +697,10 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
     // fixpoint (the next tortoise step tells us). Byte flags for the same
     // reason as `decided`.
     std::vector<uint8_t> met(num_blocks, 0);
-    auto step = [&](const std::shared_ptr<const AssignmentSet>& from)
-        -> Result<AssignmentSet> {
-      Bind(env, pred, from, fp.bound_vars());
-      ++stats_.fixpoint_iterations;
-      ++stats_.iterate_copies_avoided;
-      stats_.tuples_scanned += from->indexer().NumTuples();
-      ++epoch_[0];
-      ++epoch_[1];
-      return Eval(fp.body(), env);
-    };
     std::vector<uint8_t> is_limit(num_blocks, 0);
     while (num_decided < num_blocks) {
-      auto t_next = step(tortoise);
-      if (!t_next.ok()) {
-        restore();
-        return t_next;
-      }
+      auto t_next = Stage(fp, pred, tortoise, env);
+      if (!t_next.ok()) return t_next;
       // The meeting point for block b was tortoise's previous slice;
       // t_next tells us whether it is a fixpoint.
       auto test_limit = [&](std::size_t b) {
@@ -790,23 +709,14 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
       };
       for_each_block(test_limit);
       for (std::size_t b = 0; b < num_blocks; ++b) {
-        if (decided[b] || !met[b]) continue;
-        if (is_limit[b]) layout.CopySlice(*tortoise, result, b);
-        decided[b] = 1;
-        ++num_decided;
+        if (!decided[b] && met[b]) decide(b, is_limit[b], *tortoise);
       }
-      auto h_mid = step(hare);
-      if (!h_mid.ok()) {
-        restore();
-        return h_mid;
-      }
-      auto h_mid_shared =
-          std::make_shared<const AssignmentSet>(std::move(*h_mid));
-      auto h_next = step(h_mid_shared);
-      if (!h_next.ok()) {
-        restore();
-        return h_next;
-      }
+      auto h_mid = Stage(fp, pred, hare, env);
+      if (!h_mid.ok()) return h_mid;
+      auto h_next = Stage(
+          fp, pred, std::make_shared<const AssignmentSet>(std::move(*h_mid)),
+          env);
+      if (!h_next.ok()) return h_next;
       tortoise = std::make_shared<const AssignmentSet>(std::move(*t_next));
       hare = std::make_shared<const AssignmentSet>(std::move(*h_next));
       // met flags of distinct blocks live in distinct bytes, so the
@@ -818,7 +728,6 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
       for_each_block(test_met);
     }
   }
-  restore();
   return result.Remap(fp.bound_vars(), fp.apply_args(), pool_.get());
 }
 
@@ -838,8 +747,6 @@ Result<AssignmentSet> BoundedEvaluator::EvalSecondOrder(
     return Status::ResourceExhausted(
         "second-order enumeration space too large");
   }
-  const std::optional<RelVarBinding> outer = env[pred];
-
   // Bind the quantified relation to coordinates 0..arity-1 of the cube.
   std::vector<std::size_t> coords(so.arity());
   for (std::size_t j = 0; j < so.arity(); ++j) coords[j] = j;
@@ -852,10 +759,11 @@ Result<AssignmentSet> BoundedEvaluator::EvalSecondOrder(
 
   AssignmentSet acc(n, num_vars_);
   // The accumulator plus the current witness cube (replaced per mask, so
-  // one slot's worth) live across the whole enumeration.
+  // one slot's worth) live across the whole enumeration; the charge is
+  // held until the public call returns, not released with the loop.
   BVQ_RETURN_IF_ERROR(ChargeBytes(2 * acc.ByteSize()));
   Tuple t(so.arity());
-  ++loop_depth_;
+  LoopScope scope(*this, env, pred);
   for (uint64_t mask = 0; mask < (uint64_t{1} << cells); ++mask) {
     RelationBuilder rb(so.arity());
     for (std::size_t c = 0; c < cells; ++c) {
@@ -872,16 +780,10 @@ Result<AssignmentSet> BoundedEvaluator::EvalSecondOrder(
     ++epoch_[0];
     ++epoch_[1];
     auto body = Eval(so.body(), env);
-    if (!body.ok()) {
-      --loop_depth_;
-      env[pred] = outer;
-      return body;
-    }
+    if (!body.ok()) return body;
     acc.OrWith(*body);
     if (acc.IsFull()) break;
   }
-  --loop_depth_;
-  env[pred] = outer;
   return acc;
 }
 

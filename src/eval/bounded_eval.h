@@ -227,16 +227,21 @@ class BoundedEvaluator {
   Result<AssignmentSet> EvalUncached(const FormulaPtr& f,
                                      const FormulaIndex::NodeFacts& facts,
                                      Env& env);
+  // lfp, gfp and ifp under either FixpointStrategy: one loop, in which the
+  // strategy decides only the footnote-5 warm start and warm-cache store.
   Result<AssignmentSet> EvalFixpoint(const FixpointFormula& fp,
                                      std::size_t pred, Env& env);
-  Result<AssignmentSet> EvalMonotoneFixpoint(const FixpointFormula& fp,
-                                             std::size_t pred, Env& env);
-  Result<AssignmentSet> EvalInflationaryFixpoint(const FixpointFormula& fp,
-                                                 std::size_t pred, Env& env);
   Result<AssignmentSet> EvalPartialFixpoint(const FixpointFormula& fp,
                                             std::size_t pred, Env& env);
   Result<AssignmentSet> EvalSecondOrder(const SoExistsFormula& so,
                                         std::size_t pred, Env& env);
+  // One stage of a fixpoint loop: installs iterate `x` as `pred`'s binding,
+  // counts the stage and evaluates the body under it.
+  Result<AssignmentSet> Stage(const FixpointFormula& fp, std::size_t pred,
+                              const std::shared_ptr<const AssignmentSet>& x,
+                              Env& env);
+  // Guard of one loop's binding, loop depth and charges (bounded_eval.cc).
+  class LoopScope;
 
   // Installs `cube` as the binding of `pred` with a fresh version nonce.
   void Bind(Env& env, std::size_t pred,

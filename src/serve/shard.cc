@@ -437,8 +437,6 @@ void ShardRouter::RouteToShard(const std::shared_ptr<Client>& client,
   pending.client = client;
   const Pending::Kind kind = pending.kind;
   const std::uint64_t iid = pending.iid;
-  const std::uint64_t orig = pending.orig;
-  const std::string session = pending.session;
   if (!SendToWorker(*workers_[shard], line, std::move(pending), oob)) {
     if (kind == Pending::Kind::kEval || kind == Pending::Kind::kBatchEval) {
       EraseRoute(iid);
@@ -456,38 +454,10 @@ void ShardRouter::RouteToShard(const std::shared_ptr<Client>& client,
     // worker wrote right after it). This thread only had to wait.
     if (wait->emitted) return;
     // Failure path (worker died mid-request): HandleWorkerDown answered
-    // the wait without emitting, so finish the job here.
+    // the wait with the shard-down line, which names no id or session, and
+    // already retired an eval's route; only the emit is left.
     response = wait->responses.empty() ? ShardDownLine(shard)
                                        : wait->responses.front();
-  }
-  switch (kind) {
-    case Pending::Kind::kOpen:
-      if (StartsWith(response, "ok open")) {
-        std::lock_guard<std::mutex> lock(workers_[shard]->queue_mutex);
-        workers_[shard]->sessions.insert(session);
-      }
-      break;
-    case Pending::Kind::kClose:
-      if (StartsWith(response, "ok close")) {
-        std::lock_guard<std::mutex> lock(workers_[shard]->queue_mutex);
-        workers_[shard]->sessions.erase(session);
-      }
-      break;
-    case Pending::Kind::kEval:
-      // Submission failed (unknown session, duplicate, shard down): no
-      // result block will ever arrive, so retire the route here.
-      if (!StartsWith(response, "ok eval")) EraseRoute(iid);
-      response = ReplaceIdToken(response, iid, orig);
-      break;
-    case Pending::Kind::kBatchEval:
-      if (!StartsWith(response, "ok batch")) EraseRoute(iid);
-      response = ReplaceIdToken(response, iid, orig);
-      break;
-    case Pending::Kind::kCancel:
-      response = ReplaceIdToken(response, iid, orig);
-      break;
-    default:
-      break;
   }
   client->emit(StrCat(response, "\n"));
 }
@@ -556,6 +526,7 @@ void ShardRouter::HandleEval(const std::shared_ptr<Client>& client,
   p.kind = kind;
   p.iid = iid;
   p.orig = orig;
+  p.session = session;
   RouteToShard(client, shard, RewriteIdAtToken(line, id_token_index, iid),
                std::move(p), false);
 }
@@ -698,7 +669,13 @@ void ShardRouter::HandleLine(const std::shared_ptr<Client>& client,
                  Pending::Kind::kBatchEval, /*id_token_index=*/3);
     } else {
       // begin / end / malformed: forwarded verbatim, one control line back.
-      RouteToShard(client, shard, trimmed, Pending{}, false);
+      Pending p;
+      std::string sub;
+      if ((is >> sub) && sub == "end") {
+        p.kind = Pending::Kind::kBatchEnd;
+        p.session = name;
+      }
+      RouteToShard(client, shard, trimmed, std::move(p), false);
     }
     return;
   }
@@ -760,7 +737,7 @@ void ShardRouter::ReaderLoop(std::size_t shard) {
         block.push_back('\n');
         if (line == StrCat("end ", block_iid)) {
           in_block = false;
-          HandleBlock(shard, block_iid, std::move(block));
+          HandleBlock(block_iid, std::move(block));
           block.clear();
         }
         continue;
@@ -851,8 +828,19 @@ void ShardRouter::HandleControlLine(std::size_t shard, const std::string& line,
         break;
       case Pending::Kind::kClose:
         if (StartsWith(response, "ok close")) {
-          std::lock_guard<std::mutex> lock(w.queue_mutex);
-          w.sessions.erase(entry.session);
+          // The worker dropped the ids of a batch the session was still
+          // collecting; no result block will ever arrive for them.
+          std::vector<std::uint64_t> abandoned;
+          {
+            std::lock_guard<std::mutex> lock(w.queue_mutex);
+            w.sessions.erase(entry.session);
+            auto batch = w.batches.find(entry.session);
+            if (batch != w.batches.end()) {
+              abandoned = std::move(batch->second);
+              w.batches.erase(batch);
+            }
+          }
+          for (const std::uint64_t iid : abandoned) EraseRoute(iid);
         }
         break;
       case Pending::Kind::kEval:
@@ -862,8 +850,19 @@ void ShardRouter::HandleControlLine(std::size_t shard, const std::string& line,
         response = ReplaceIdToken(response, entry.iid, entry.orig);
         break;
       case Pending::Kind::kBatchEval:
-        if (!StartsWith(response, "ok batch")) EraseRoute(entry.iid);
+        if (StartsWith(response, "ok batch")) {
+          std::lock_guard<std::mutex> lock(w.queue_mutex);
+          w.batches[entry.session].push_back(entry.iid);
+        } else {
+          EraseRoute(entry.iid);
+        }
         response = ReplaceIdToken(response, entry.iid, entry.orig);
+        break;
+      case Pending::Kind::kBatchEnd:
+        if (StartsWith(response, "ok batch")) {
+          std::lock_guard<std::mutex> lock(w.queue_mutex);
+          w.batches.erase(entry.session);
+        }
         break;
       case Pending::Kind::kCancel:
         response = ReplaceIdToken(response, entry.iid, entry.orig);
@@ -889,8 +888,7 @@ void ShardRouter::HandleControlLine(std::size_t shard, const std::string& line,
   entry.wait->cv.notify_all();
 }
 
-void ShardRouter::HandleBlock(std::size_t shard, std::uint64_t iid,
-                              std::string block) {
+void ShardRouter::HandleBlock(std::uint64_t iid, std::string block) {
   Route route;
   {
     std::lock_guard<std::mutex> lock(ids_mutex_);
@@ -919,7 +917,6 @@ void ShardRouter::HandleBlock(std::size_t shard, std::uint64_t iid,
                   StrCat("end ", route.orig, "\n"));
   }
   route.client->emit(block);
-  (void)shard;
 }
 
 void ShardRouter::HandleWorkerDown(std::size_t shard) {
@@ -933,6 +930,7 @@ void ShardRouter::HandleWorkerDown(std::size_t shard) {
     pending.swap(w.pending);
     oob_pending.swap(w.oob_pending);
     sessions.swap(w.sessions);
+    w.batches.clear();  // their routes are retired with the shard's below
     pid = w.pid;
     w.pid = -1;
   }

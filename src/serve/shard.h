@@ -202,7 +202,9 @@ class ShardRouter {
       kOpen,      // + register session on "ok open"
       kClose,     // + unregister session on "ok close"
       kEval,       // + id rewrite; erase route on "err eval"
-      kBatchEval,  // + id rewrite; erase route unless "ok batch"
+      kBatchEval,  // + id rewrite; erase route unless "ok batch", else
+                   //   note the id as collected by the session's batch
+      kBatchEnd,   // + forget the collected ids on "ok batch" (submitted)
       kCancel,     // + id rewrite (cancel FIFO)
       kBarrier,   // stats/drain/quit fan-out contribution
       kInternal,  // detach-cancel: swallow the response
@@ -215,7 +217,7 @@ class ShardRouter {
                                      // relative to result blocks
     std::uint64_t iid = 0;           // kEval/kCancel: router-global id
     std::uint64_t orig = 0;          // kEval/kCancel: client-supplied id
-    std::string session;             // kOpen/kClose
+    std::string session;             // kOpen/kClose/kBatchEval/kBatchEnd
   };
 
   struct Worker {
@@ -228,13 +230,16 @@ class ShardRouter {
     std::deque<Pending> pending;      // request-pipe FIFO
     std::deque<Pending> oob_pending;  // cancel-pipe FIFO
     std::set<std::string> sessions;   // opened here; closed on worker death
+    // Per session, the ids `batch <s> eval` collected that no `batch <s>
+    // end` has submitted yet. A `close` abandons them: the worker drops
+    // them without a result block, so their routes are retired then.
+    std::map<std::string, std::vector<std::uint64_t>> batches;
     bool up = false;
     // False from a respawn until the fresh process writes its first
     // response line back. Sessionless stats fan-outs skip up-but-unacked
     // workers, so `up=` only counts shards that have demonstrably answered
     // since restarting (a respawned-but-wedged worker must not inflate it).
     std::atomic<bool> acked{true};
-    bool quit_sent = false;
     int request_fd = -1;
     int cancel_fd = -1;
     int response_fd = -1;
@@ -276,7 +281,7 @@ class ShardRouter {
   // Reader side (one thread per shard).
   void ReaderLoop(std::size_t shard);
   void HandleControlLine(std::size_t shard, const std::string& line, bool oob);
-  void HandleBlock(std::size_t shard, std::uint64_t iid, std::string block);
+  void HandleBlock(std::uint64_t iid, std::string block);
   void HandleWorkerDown(std::size_t shard);
 
   // Process management.

@@ -1693,6 +1693,45 @@ TEST(ShardRouterTest, RoutedBatchIsByteIdenticalToDirectServer) {
   harness.router().Shutdown();
 }
 
+TEST(ShardRouterTest, CloseMidBatchRetiresTheBatchIds) {
+  // Closing a session abandons the batch it was collecting: the worker
+  // drops those ids, so the router must free them too. Otherwise id 5 stays
+  // "in flight" forever, and at shutdown gets an Unavailable block for a
+  // query that never ran.
+  const std::vector<std::string> script = {
+      "open s k=3",       "domain s 4",          "batch s begin",
+      "batch s eval 5 (x1) x1 = x1",             "close s",
+      "open t k=3",       "domain t 4",          "eval 5 t (x1) x1 = x1",
+      "drain",
+  };
+  auto control_lines = [](const std::vector<std::string>& chunks) {
+    std::vector<std::string> lines;
+    for (const auto& chunk : chunks) {
+      if (chunk.rfind("result ", 0) != 0) lines.push_back(chunk);
+    }
+    return lines;
+  };
+
+  Server direct;
+  ChunkSink direct_sink;
+  for (const auto& line : script) direct.HandleLine(line, direct_sink.Emit());
+
+  RouterHarness harness(2);
+  TestClient client(harness.router());
+  for (const auto& line : script) {
+    harness.router().HandleLine(client.client, line);
+  }
+  ASSERT_NE(direct_sink.Block(5), "");
+  EXPECT_EQ(client.Block(5), direct_sink.Block(5));
+  harness.router().Shutdown();
+  {
+    std::lock_guard<std::mutex> direct_lock(direct_sink.mutex);
+    std::lock_guard<std::mutex> lock(client.mutex);
+    EXPECT_EQ(control_lines(client.chunks), control_lines(direct_sink.chunks));
+  }
+  EXPECT_FALSE(client.Contains("Unavailable")) << client.All();
+}
+
 // --- cache clear racing a running eval -------------------------------------
 
 TEST(ServeCacheTest, ClearRacingARunningEvalIsSafeAndByteIdentical) {

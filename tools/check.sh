@@ -2,7 +2,8 @@
 # Tier-1 verification: build + ctest, plain and under ThreadSanitizer and
 # AddressSanitizer+UBSan.
 #
-# Usage: tools/check.sh [--tsan-only|--plain-only|--asan-only]
+# Usage: tools/check.sh [--tsan-only|--plain-only|--asan-only|--list]
+#        tools/check.sh --smoke <name> <build-dir>
 #
 # The TSan pass builds with -DBVQ_SANITIZE=thread and runs the test suite
 # with BVQ_THREADS=4 so the auto thread count exercises the parallel
@@ -11,35 +12,38 @@
 # includes a small-n smoke of every record bench (bench/CMakeLists.txt), so
 # their identity and hit gates run under both sanitizers too.
 #
-# Every tier also runs the resource-governor smoke: a PFP binary counter
-# that needs >1 s ungoverned must come back as a clean DeadlineExceeded
-# under --deadline-ms=10 (nonzero exit, error on stderr, seconds not
-# minutes of wall time), and a governed run under a generous memory budget
-# must print byte-identical answers to the ungoverned run.
+# Each tier's ctest also runs the seven serving smokes below, one ctest
+# each (smoke_<name>, tests/CMakeLists.txt), through `--smoke <name>
+# <build-dir>`, which runs one smoke against the binaries of <build-dir>.
 #
-# Every tier also runs the serving-layer smoke (see serve_smoke below):
-# 8 concurrent bvqserve sessions, one over-budget admission rejection, one
-# remote cancellation, and a shutdown that must leak neither sessions nor
-# reserved admission bytes.
+# The resource-governor smoke: a PFP binary counter that needs >1 s
+# ungoverned must come back as a clean DeadlineExceeded under
+# --deadline-ms=10 (nonzero exit, error on stderr, seconds not minutes of
+# wall time), and a governed run under a generous memory budget must print
+# byte-identical answers to the ungoverned run.
 #
-# Every tier also runs the sharded serving smoke (see shard_smoke below):
-# a 2-shard bvqserve router fork/execs real worker processes, splits the
-# admission budget across the fleet, and must reject an over-reserving
-# session on its own shard while sessions on both shards keep serving.
+# The serving-layer smoke (see serve_smoke below): 8 concurrent bvqserve
+# sessions, one over-budget admission rejection, one remote cancellation,
+# and a shutdown that must leak neither sessions nor reserved admission
+# bytes.
 #
-# Every tier also runs the batch-planner smoke (see batch_smoke below): an
-# 8-query overlapping batch through bvqserve must report dedup > 1 on its
-# `ok batch ... end` line and answer every query byte-identically to a
-# cache-off serial run of the same queries — both direct and through a
-# 2-shard router (batches are session-affine, so routing must not change a
-# single byte).
+# The sharded serving smoke (see shard_smoke below): a 2-shard bvqserve
+# router fork/execs real worker processes, splits the admission budget
+# across the fleet, and must reject an over-reserving session on its own
+# shard while sessions on both shards keep serving.
 #
-# Every tier also runs the nesting and long-line smoke (see deep_smoke
-# below): the formulas that used to overflow the stack come back as one
-# ParseError each while the session keeps answering, direct and routed; the
-# same shapes at the depth limit still evaluate on that tier's stack; an
-# endless TCP line gets `err line too long` while other connections keep
-# serving; and bvqsh drives its in-process server through `serve`.
+# The batch-planner smoke (see batch_smoke below): an 8-query overlapping
+# batch through bvqserve must report dedup > 1 on its `ok batch ... end`
+# line and answer every query byte-identically to a cache-off serial run of
+# the same queries — both direct and through a 2-shard router (batches are
+# session-affine, so routing must not change a single byte).
+#
+# The nesting and long-line smoke (see deep_smoke below): the formulas that
+# used to overflow the stack come back as one ParseError each while the
+# session keeps answering, direct and routed; the same shapes at the depth
+# limit still evaluate on that tier's stack; an endless TCP line gets `err
+# line too long` while other connections keep serving; and bvqsh drives its
+# in-process server through `serve`.
 
 set -euo pipefail
 
@@ -555,6 +559,12 @@ deep_smoke() {
   rm -rf "$tmp"
 }
 
+usage() {
+  echo "usage: tools/check.sh [--tsan-only|--plain-only|--asan-only|--list]" >&2
+  echo "       tools/check.sh --smoke resource|serve|shard|batch|cache|persist|deep <build-dir>" >&2
+  exit 2
+}
+
 run_plain=1
 run_tsan=1
 run_asan=1
@@ -563,13 +573,19 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest (incl. bench smokes) + serve/shard/cache/persist/batch/deep smokes"
+    echo "plain  build + ctest (incl. bench smokes and the resource/serve/shard/batch/cache/persist/deep smokes)"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
+  --smoke)
+    [[ $# -eq 3 ]] || usage
+    case $2 in
+      resource|serve|shard|batch|cache|persist|deep) "$2_smoke" "$3" ;;
+      *) usage ;;
+    esac
+    exit 0 ;;
   "") ;;
-  *) echo "usage: tools/check.sh [--tsan-only|--plain-only|--asan-only|--list]" >&2
-     exit 2 ;;
+  *) usage ;;
 esac
 
 if [[ $run_plain -eq 1 ]]; then
@@ -577,13 +593,6 @@ if [[ $run_plain -eq 1 ]]; then
   cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j"$(nproc)"
   (cd "$ROOT/build" && ctest --output-on-failure -j"$(nproc)")
-  resource_smoke "$ROOT/build"
-  serve_smoke "$ROOT/build"
-  shard_smoke "$ROOT/build"
-  batch_smoke "$ROOT/build"
-  cache_smoke "$ROOT/build"
-  persist_smoke "$ROOT/build"
-  deep_smoke "$ROOT/build"
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
@@ -591,13 +600,6 @@ if [[ $run_tsan -eq 1 ]]; then
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DBVQ_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j"$(nproc)"
   (cd "$ROOT/build-tsan" && BVQ_THREADS=4 ctest --output-on-failure -j"$(nproc)")
-  BVQ_THREADS=4 resource_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 serve_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 shard_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 batch_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 cache_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 persist_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 deep_smoke "$ROOT/build-tsan"
 fi
 
 if [[ $run_asan -eq 1 ]]; then
@@ -605,13 +607,6 @@ if [[ $run_asan -eq 1 ]]; then
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DBVQ_SANITIZE=address,undefined
   cmake --build "$ROOT/build-asan" -j"$(nproc)"
   (cd "$ROOT/build-asan" && ctest --output-on-failure -j"$(nproc)")
-  resource_smoke "$ROOT/build-asan"
-  serve_smoke "$ROOT/build-asan"
-  shard_smoke "$ROOT/build-asan"
-  batch_smoke "$ROOT/build-asan"
-  cache_smoke "$ROOT/build-asan"
-  persist_smoke "$ROOT/build-asan"
-  deep_smoke "$ROOT/build-asan"
 fi
 
 echo "check.sh: all requested passes green"
