@@ -1,11 +1,30 @@
 #include "db/assignment_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <numeric>
 
 namespace bvq {
 
 namespace {
+
+// The `len` (<= 64) bits of `words` from bit `pos` on, in the low bits.
+uint64_t ReadBits(const uint64_t* words, std::size_t pos, std::size_t len) {
+  const std::size_t off = pos % 64;
+  uint64_t bits = words[pos / 64] >> off;
+  if (off + len > 64) bits |= words[pos / 64 + 1] << (64 - off);
+  return len == 64 ? bits : bits & ((uint64_t{1} << len) - 1);
+}
+
+// ORs `bits` into `words` from bit `pos` on; none may land past the end.
+void OrBits(uint64_t* words, std::size_t pos, uint64_t bits) {
+  const std::size_t off = pos % 64;
+  words[pos / 64] |= bits << off;
+  if (off != 0 && bits >> (64 - off) != 0) {
+    words[pos / 64 + 1] |= bits >> (64 - off);
+  }
+}
 
 // Runs fill(dst, begin, end) over the chunks of [0, items). Chunk 0 fills
 // `out` itself and every later chunk a private shard, OR-ed into `out` in
@@ -258,18 +277,108 @@ AssignmentSet AssignmentSet::Remap(const std::vector<std::size_t>& targets,
   return out;
 }
 
-Relation AssignmentSet::ToRelation(
+ProjectedAnswer AssignmentSet::Project(
     const std::vector<std::size_t>& vars) const {
-  RelationBuilder b(vars.size());
-  std::vector<Value> row(vars.size());
-  for (std::size_t r = bits_.FindFirst(); r < bits_.size();
-       r = bits_.FindNext(r + 1)) {
-    for (std::size_t j = 0; j < vars.size(); ++j) {
-      row[j] = indexer_.Digit(r, vars[j]);
-    }
-    b.Add(row.data());
+  const std::size_t n = domain_size();
+  const std::size_t k = num_vars();
+  ProjectedAnswer out;
+  out.domain_size_ = n;
+  std::vector<std::size_t> distinct;
+  for (std::size_t v : vars) {
+    assert(v < k);
+    const auto it = std::find(distinct.begin(), distinct.end(), v);
+    out.columns_.push_back(static_cast<std::size_t>(it - distinct.begin()));
+    if (it == distinct.end()) distinct.push_back(v);
   }
-  return b.Build();
+  out.num_distinct_ = distinct.size();
+  // Answer-rank weight of each cube coordinate: n^(d-1-j) for the j-th
+  // distinct answer variable, 0 for a coordinate the answer drops.
+  std::vector<std::size_t> weight(k, 0);
+  std::size_t size = 1;
+  for (std::size_t j = distinct.size(); j-- > 0;) {
+    weight[distinct[j]] = size;
+    size *= n;
+  }
+  out.bits_ = DynamicBitset(size);
+  if (k == 0) {
+    if (bits_.Test(0)) out.bits_.Set(0);
+    return out;
+  }
+  if (n == 0) return out;
+  // Lines of n bits along coordinate 0, with the other coordinates walked
+  // dropped-first, then by ascending answer weight. The lines of one group
+  // (all values of the dropped coordinates) share their answer ranks, so
+  // they are OR-ed into `line` a word at a time and written once, and
+  // consecutive groups write neighbouring answer bits.
+  std::vector<std::size_t> order(k - 1);
+  std::iota(order.begin(), order.end(), 1);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight[a] < weight[b];
+                   });
+  std::vector<std::size_t> read_weights, write_weights;
+  std::size_t group = 1;
+  for (std::size_t c : order) {
+    read_weights.push_back(indexer_.Stride(c));
+    write_weights.push_back(weight[c]);
+    if (weight[c] == 0) group *= n;
+  }
+  RadixWalker read(n, read_weights);
+  RadixWalker write(n, write_weights);
+  const std::size_t line_words = (n + 63) / 64;
+  std::vector<uint64_t> line(line_words);
+  const uint64_t* src = bits_.word_data();
+  uint64_t* dst = out.bits_.word_data();
+  const std::size_t step = weight[0];
+  const std::size_t lines = indexer_.NumTuples() / n;
+  for (std::size_t l = 0; l < lines; l += group) {
+    const std::size_t base = write.value();
+    uint64_t any = 0;
+    std::fill(line.begin(), line.end(), 0);
+    for (std::size_t g = 0; g < group; ++g, read.Next(), write.Next()) {
+      for (std::size_t i = 0; i < line_words; ++i) {
+        const uint64_t word = ReadBits(src, read.value() + 64 * i,
+                                       std::min<std::size_t>(64, n - 64 * i));
+        line[i] |= word;
+        any |= word;
+      }
+    }
+    if (any == 0) continue;
+    if (step == 0) {
+      out.bits_.Set(base);
+      continue;
+    }
+    for (std::size_t i = 0; i < line_words; ++i) {
+      if (step == 1) {
+        OrBits(dst, base + 64 * i, line[i]);
+        continue;
+      }
+      for (uint64_t word = line[i]; word != 0; word &= word - 1) {
+        const std::size_t v = 64 * i + std::countr_zero(word);
+        out.bits_.Set(base + v * step);
+      }
+    }
+  }
+  return out;
+}
+
+Relation ProjectedAnswer::FirstRows(std::size_t limit) const {
+  const std::size_t n = domain_size_;
+  RelationBuilder rows(arity());
+  std::vector<Value> digits(num_distinct_);
+  std::vector<Value> row(arity());
+  std::size_t emitted = 0;
+  for (std::size_t r = bits_.FindFirst(); r < bits_.size() && emitted < limit;
+       r = bits_.FindNext(r + 1), ++emitted) {
+    std::size_t rest = r;
+    for (std::size_t j = num_distinct_; j-- > 0;) {
+      digits[j] = static_cast<Value>(rest % n);
+      rest /= n;
+    }
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] = digits[columns_[c]];
+    rows.Add(row.data());
+  }
+  return rows.BuildSorted();
 }
 
 AssignmentSet& AssignmentSet::RestrictToAtom(

@@ -11,6 +11,35 @@
 
 namespace bvq {
 
+/// The answer relation of a query (y_1,...,y_a)phi read straight off phi's
+/// final cube (Proposition 3.1): the cube projected onto the distinct answer
+/// variables, in first-occurrence order, as a bitset over D^d (d <= k). The
+/// first distinct variable is the most significant digit of a rank, so rank
+/// order is lexicographic in the answer tuple: rows come out sorted and
+/// distinct, nothing sorts, and nothing holds one row per cube bit.
+/// Repeated answer variables are expanded only when a row is written.
+class ProjectedAnswer {
+ public:
+  /// Columns of a row: the length of the answer list.
+  std::size_t arity() const { return columns_.size(); }
+  /// Number of answer tuples, by popcount.
+  std::size_t Count() const { return bits_.Count(); }
+  /// The first `limit` answer tuples in lexicographic order, one FindNext
+  /// each; rows past `limit` are never built.
+  Relation FirstRows(std::size_t limit) const;
+  /// Every answer tuple.
+  Relation ToRelation() const { return FirstRows(Count()); }
+
+ private:
+  friend class AssignmentSet;
+
+  std::size_t domain_size_ = 0;
+  // Row column j holds distinct variable columns_[j] (0 = most significant).
+  std::vector<std::size_t> columns_;
+  std::size_t num_distinct_ = 0;
+  DynamicBitset bits_;
+};
+
 /// A set of variable assignments {x_1,...,x_k} -> D, stored as a bitset
 /// over D^k.
 ///
@@ -105,10 +134,16 @@ class AssignmentSet {
                       const std::vector<std::size_t>& sources,
                       ThreadPool* pool = nullptr) const;
 
-  /// Projects onto the given (distinct) variables, producing a classical
-  /// relation of arity vars.size(): the set of value tuples
-  /// (a[vars[0]],...,a[vars[m-1]]) over members a.
-  Relation ToRelation(const std::vector<std::size_t>& vars) const;
+  /// Projects onto the variables `vars` (each < k; repeats allowed): the
+  /// set of value tuples (a[vars[0]],...,a[vars[m-1]]) over members a. One
+  /// pass over the cube in lines of n bits along coordinate 0, OR-ed at
+  /// word level wherever the answer drops a coordinate.
+  ProjectedAnswer Project(const std::vector<std::size_t>& vars) const;
+
+  /// Project(vars) as a classical relation of arity vars.size().
+  Relation ToRelation(const std::vector<std::size_t>& vars) const {
+    return Project(vars).ToRelation();
+  }
 
   /// Restricts to assignments whose coordinates `vars` take the values of
   /// some tuple of `relation` *and* requires exactly that: keeps a iff

@@ -1,8 +1,10 @@
 #include "db/relation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/index.h"
 #include "common/strings.h"
@@ -202,6 +204,22 @@ Relation RelationBuilder::Build() {
     r.fp_sum_ += TupleFingerprint(row, arity);
   }
   r.size_ = r.data_.size() / arity;
+  data_.clear();
+  num_rows_ = 0;
+  return r;
+}
+
+Relation RelationBuilder::BuildSorted() {
+  if (arity_ == 0) return Build();
+  Relation r(arity_);
+  const std::size_t arity = arity_;
+  r.size_ = data_.size() / arity;
+  for (std::size_t i = 0; i < r.size_; ++i) {
+    const Value* row = data_.data() + i * arity;
+    assert(i == 0 || RowLess(row - arity, row, arity));
+    r.fp_sum_ += TupleFingerprint(row, arity);
+  }
+  r.data_ = std::move(data_);
   data_.clear();
   num_rows_ = 0;
   return r;

@@ -1,5 +1,7 @@
 #include "eval/bounded_eval.h"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/index.h"
@@ -129,27 +131,28 @@ Result<AssignmentSet> BoundedEvaluator::EvaluateWithEnv(
                " exceeds the assignment-set size limit"));
   }
   // With a session cache installed, intern into its long-lived arena so
-  // this formula's class ids line up with the cached keys; num_classes()
-  // then counts every class the session has seen, so memo_ below accepts
-  // any id the index can hand out.
+  // this formula's class ids line up with the cached keys. The memo is
+  // indexed by the index's per-query slots, so it is sized by this formula
+  // however many classes the session has seen.
   index_ = std::make_unique<FormulaIndex>(
       formula, CacheActive() ? options_.answer_cache->interner() : nullptr);
   warm_cache_.clear();
   atom_cache_.clear();
-  memo_.assign(index_->num_classes(), MemoEntry{});
+  memo_.assign(index_->num_slots(), MemoEntry{});
   epoch_[0] = epoch_[1] = 0;
   next_version_ = 0;
   loop_depth_ = 0;
   charged_bytes_ = 0;
   if (options_.governor != nullptr) {
     // Predicted bound for the stats report: one n^k cube per structural
-    // class the memo can retain, plus a few live iterates. Saturates on
-    // overflow (the Exceeds guard above already bounds the cube itself).
+    // class of this formula the memo can retain, plus a few live iterates.
+    // Saturates on overflow (the Exceeds guard above already bounds the
+    // cube itself).
     const std::size_t cube_bytes =
         (TupleIndexer(db_->domain_size(), num_vars_).NumTuples() + 63) / 64 *
         sizeof(uint64_t);
     std::size_t predicted = 0;
-    if (!CheckedMul(cube_bytes, index_->num_classes() + 4, &predicted)) {
+    if (!CheckedMul(cube_bytes, index_->num_slots() + 4, &predicted)) {
       predicted = static_cast<std::size_t>(-1);
     }
     options_.governor->set_predicted_bytes(predicted);
@@ -203,10 +206,10 @@ Result<AssignmentSet> BoundedEvaluator::EvaluateWithEnv(
   return result;
 }
 
-bool BoundedEvaluator::BuildCacheKey(std::size_t cls,
+bool BoundedEvaluator::BuildCacheKey(std::size_t slot,
                                      AnswerCache::Key* key) const {
-  const std::vector<std::size_t>& deps = index_->FreeRelVars(cls);
-  key->cls = cls;
+  const std::vector<std::size_t>& deps = index_->FreeRelVars(slot);
+  key->cls = index_->ClassOf(slot);
   key->domain_size = db_->domain_size();
   key->num_vars = num_vars_;
   key->versions.clear();
@@ -220,8 +223,16 @@ bool BoundedEvaluator::BuildCacheKey(std::size_t cls,
 }
 
 void BoundedEvaluator::ExportMemoToCache() {
-  for (std::size_t cls = 0; cls < memo_.size(); ++cls) {
-    const MemoEntry& slot = memo_[cls];
+  // In ascending class id, so the cache's LRU order, and with it what a
+  // full cache evicts, does not depend on the order this query met its
+  // classes in.
+  std::vector<std::size_t> slots(memo_.size());
+  std::iota(slots.begin(), slots.end(), 0);
+  std::sort(slots.begin(), slots.end(), [&](std::size_t a, std::size_t b) {
+    return index_->ClassOf(a) < index_->ClassOf(b);
+  });
+  for (std::size_t s : slots) {
+    const MemoEntry& slot = memo_[s];
     if (!slot.valid) continue;
     // Only database-only entries survive across queries: an all-zero
     // signature says every free rel-var was unbound in the environment,
@@ -230,12 +241,12 @@ void BoundedEvaluator::ExportMemoToCache() {
     for (std::uint64_t v : slot.versions) db_only &= (v == 0);
     if (!db_only) continue;
     AnswerCache::Key key;
-    if (!BuildCacheKey(cls, &key)) continue;
+    if (!BuildCacheKey(s, &key)) continue;
     options_.answer_cache->Insert(key, slot.value);
   }
 }
 
-Result<Relation> BoundedEvaluator::EvaluateQuery(const Query& query) {
+Result<ProjectedAnswer> BoundedEvaluator::EvaluateAnswer(const Query& query) {
   auto set = Evaluate(query.formula);
   if (!set.ok()) return set.status();
   for (std::size_t v : query.answer_vars) {
@@ -245,7 +256,13 @@ Result<Relation> BoundedEvaluator::EvaluateQuery(const Query& query) {
                  num_vars_));
     }
   }
-  return set->ToRelation(query.answer_vars);
+  return set->Project(query.answer_vars);
+}
+
+Result<Relation> BoundedEvaluator::EvaluateQuery(const Query& query) {
+  auto answer = EvaluateAnswer(query);
+  if (!answer.ok()) return answer.status();
+  return answer->ToRelation();
 }
 
 void BoundedEvaluator::Bind(Env& env, std::size_t pred,
@@ -283,8 +300,8 @@ Result<AssignmentSet> BoundedEvaluator::Eval(const FormulaPtr& f, Env& env) {
       f->kind() == FormulaKind::kFalse) {
     return EvalUncached(f, facts, env);
   }
-  MemoEntry& slot = memo_[facts.cls];
-  const std::vector<std::size_t>& deps = index_->FreeRelVars(facts.cls);
+  MemoEntry& slot = memo_[facts.slot];
+  const std::vector<std::size_t>& deps = index_->FreeRelVars(facts.slot);
   std::vector<uint64_t> sig;
   sig.reserve(deps.size());
   for (std::size_t pred : deps) {
@@ -302,7 +319,7 @@ Result<AssignmentSet> BoundedEvaluator::Eval(const FormulaPtr& f, Env& env) {
     bool db_only = true;
     for (uint64_t v : sig) db_only &= (v == 0);
     AnswerCache::Key key;
-    if (db_only && BuildCacheKey(facts.cls, &key)) {
+    if (db_only && BuildCacheKey(facts.slot, &key)) {
       AssignmentSet cached;
       if (options_.answer_cache->Lookup(key, &cached)) {
         ++stats_.cache_hits;

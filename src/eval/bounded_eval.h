@@ -199,7 +199,13 @@ class BoundedEvaluator {
       const FormulaPtr& formula,
       const std::map<std::string, RelVarBinding>& env);
 
-  /// Evaluates a query (y̅)phi to the |y̅|-ary answer relation.
+  /// Evaluates a query (y̅)phi to its answers, projected off the final
+  /// cube: the serving path counts them and reads the first rows without
+  /// building the rest.
+  Result<ProjectedAnswer> EvaluateAnswer(const Query& query);
+
+  /// Evaluates a query (y̅)phi to the |y̅|-ary answer relation: every row of
+  /// EvaluateAnswer, in the order it reads them.
   Result<Relation> EvaluateQuery(const Query& query);
 
   const EvalStats& stats() const { return stats_; }
@@ -218,9 +224,9 @@ class BoundedEvaluator {
   }
 
  private:
-  // Internal environment: one slot per interned predicate id of the
-  // formula being evaluated (FormulaIndex), so binding lookups, installs,
-  // and restores are O(1) vector indexing instead of string-map searches.
+  // Internal environment: one entry per predicate id of the formula being
+  // evaluated (FormulaIndex), so binding lookups, installs, and restores
+  // are O(1) vector indexing instead of string-map searches.
   using Env = std::vector<std::optional<RelVarBinding>>;
 
   Result<AssignmentSet> Eval(const FormulaPtr& f, Env& env);
@@ -253,10 +259,10 @@ class BoundedEvaluator {
     return options_.answer_cache != nullptr && options_.cross_query_cache &&
            options_.memo;
   }
-  // Builds the cross-query key for class `cls` from the current database's
-  // relation versions. False when the class is not keyable (some free
-  // rel-var is not a database relation).
-  bool BuildCacheKey(std::size_t cls, AnswerCache::Key* key) const;
+  // Builds the cross-query key for the class of `slot` from the current
+  // database's relation versions. False when the class is not keyable (some
+  // free rel-var is not a database relation).
+  bool BuildCacheKey(std::size_t slot, AnswerCache::Key* key) const;
   // Inserts every database-only memo entry of the finished call into the
   // session cache. Only called on clean success.
   void ExportMemoToCache();
@@ -303,9 +309,10 @@ class BoundedEvaluator {
   // as invariant_hoists.
   std::size_t loop_depth_ = 0;
 
-  // Dependency-aware memo table, indexed by structural class
-  // (FormulaIndex): an entry answers a subtree evaluation for free while
-  // the versions of the class's free relation variables are unchanged.
+  // Dependency-aware memo table, indexed by the per-query slot of a
+  // structural class (FormulaIndex): an entry answers a subtree evaluation
+  // for free while the versions of the class's free relation variables are
+  // unchanged.
   struct MemoEntry {
     bool valid = false;
     std::vector<uint64_t> versions;

@@ -564,22 +564,11 @@ FormulaIndex::FormulaIndex(const FormulaPtr& root, FormulaInterner* interner)
     : owned_(interner == nullptr ? std::make_unique<FormulaInterner>()
                                  : nullptr),
       interner_(interner == nullptr ? owned_.get() : interner) {
-  // One lock acquisition covers the whole build *and* the snapshot, so the
-  // ids this index saw are exactly the ids its snapshot tables cover even
-  // when other threads intern concurrently.
+  // One lock acquisition covers the whole build, so this index's slots and
+  // names are snapshotted consistently even when other threads intern
+  // concurrently.
   std::lock_guard<std::mutex> lock(interner_->mutex_);
   Visit(root);
-  pred_ids_ = interner_->pred_ids_;
-  pred_names_.reserve(interner_->pred_names_.size());
-  for (const std::string& name : interner_->pred_names_) {
-    pred_names_.push_back(&name);
-  }
-  class_free_preds_.reserve(interner_->class_free_preds_.size());
-  for (const std::vector<std::size_t>& fp : interner_->class_free_preds_) {
-    class_free_preds_.push_back(&fp);
-  }
-  class_hashes_.assign(interner_->class_hashes_.begin(),
-                       interner_->class_hashes_.end());
 }
 
 const FormulaIndex::NodeFacts& FormulaIndex::Facts(
@@ -592,13 +581,33 @@ std::size_t FormulaIndex::PredId(const std::string& name) const {
   return it == pred_ids_.end() ? kNoPred : it->second;
 }
 
-std::size_t FormulaIndex::InternPred(const std::string& name) {
-  return interner_->InternPredLocked(name);
+std::size_t FormulaIndex::InternPred(const std::string& name,
+                                     std::size_t* local) {
+  const std::size_t global = interner_->InternPredLocked(name);
+  auto [it, inserted] = local_pred_.emplace(global, pred_names_.size());
+  if (inserted) {
+    pred_names_.push_back(&interner_->pred_names_[global]);
+    pred_ids_.emplace(name, it->second);
+  }
+  *local = it->second;
+  return global;
 }
 
-std::size_t FormulaIndex::InternClass(std::vector<uint64_t> key,
-                                      std::vector<std::size_t> free_preds) {
-  return interner_->InternClassLocked(std::move(key), std::move(free_preds));
+void FormulaIndex::InternClass(std::vector<uint64_t> key,
+                               std::vector<std::size_t> free_preds,
+                               NodeFacts* facts) {
+  facts->cls =
+      interner_->InternClassLocked(std::move(key), std::move(free_preds));
+  auto [it, inserted] = slot_of_class_.emplace(facts->cls, slots_.size());
+  facts->slot = it->second;
+  if (!inserted) return;
+  // Every free predicate of a subtree of the root was interned by this
+  // build, so each has a per-query id.
+  Slot slot{facts->cls, interner_->class_hashes_[facts->cls], {}};
+  for (std::size_t pred : interner_->class_free_preds_[facts->cls]) {
+    slot.free_preds.push_back(local_pred_.at(pred));
+  }
+  slots_.push_back(std::move(slot));
 }
 
 std::size_t FormulaInterner::InternPredLocked(const std::string& name) {
@@ -898,29 +907,29 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
   switch (f->kind()) {
     case FormulaKind::kTrue:
     case FormulaKind::kFalse:
-      facts.cls = InternClass(std::move(key), {});
+      InternClass(std::move(key), {}, &facts);
       break;
     case FormulaKind::kAtom: {
       const auto& atom = static_cast<const AtomFormula&>(*f);
-      facts.pred = InternPred(atom.pred());
-      key.push_back(facts.pred);
+      const std::size_t pred = InternPred(atom.pred(), &facts.pred);
+      key.push_back(pred);
       key.push_back(atom.args().size());
       for (std::size_t v : atom.args()) key.push_back(v);
-      facts.cls = InternClass(std::move(key), {facts.pred});
+      InternClass(std::move(key), {pred}, &facts);
       break;
     }
     case FormulaKind::kEquals: {
       const auto& eq = static_cast<const EqualsFormula&>(*f);
       key.push_back(eq.lhs());
       key.push_back(eq.rhs());
-      facts.cls = InternClass(std::move(key), {});
+      InternClass(std::move(key), {}, &facts);
       break;
     }
     case FormulaKind::kNot: {
       const NodeFacts sub = Visit(static_cast<const NotFormula&>(*f).sub());
       key.push_back(sub.cls);
-      facts.cls = InternClass(std::move(key),
-                              interner_->class_free_preds_[sub.cls]);
+      InternClass(std::move(key), interner_->class_free_preds_[sub.cls],
+                  &facts);
       break;
     }
     case FormulaKind::kAnd:
@@ -932,9 +941,10 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       const NodeFacts rhs = Visit(b.rhs());
       key.push_back(lhs.cls);
       key.push_back(rhs.cls);
-      facts.cls = InternClass(
-          std::move(key), UnionSorted(interner_->class_free_preds_[lhs.cls],
-                                      interner_->class_free_preds_[rhs.cls]));
+      InternClass(std::move(key),
+                  UnionSorted(interner_->class_free_preds_[lhs.cls],
+                              interner_->class_free_preds_[rhs.cls]),
+                  &facts);
       break;
     }
     case FormulaKind::kExists:
@@ -943,35 +953,35 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       const NodeFacts body = Visit(q.body());
       key.push_back(q.var());
       key.push_back(body.cls);
-      facts.cls = InternClass(std::move(key),
-                              interner_->class_free_preds_[body.cls]);
+      InternClass(std::move(key), interner_->class_free_preds_[body.cls],
+                  &facts);
       break;
     }
     case FormulaKind::kFixpoint: {
       const auto& fp = static_cast<const FixpointFormula&>(*f);
       const NodeFacts body = Visit(fp.body());
-      facts.pred = InternPred(fp.rel_var());
+      const std::size_t pred = InternPred(fp.rel_var(), &facts.pred);
       key.push_back(static_cast<uint64_t>(fp.op()));
-      key.push_back(facts.pred);
+      key.push_back(pred);
       key.push_back(fp.bound_vars().size());
       for (std::size_t v : fp.bound_vars()) key.push_back(v);
       key.push_back(body.cls);
       for (std::size_t v : fp.apply_args()) key.push_back(v);
-      facts.cls = InternClass(
-          std::move(key),
-          EraseSorted(interner_->class_free_preds_[body.cls], facts.pred));
+      InternClass(std::move(key),
+                  EraseSorted(interner_->class_free_preds_[body.cls], pred),
+                  &facts);
       break;
     }
     case FormulaKind::kSecondOrderExists: {
       const auto& so = static_cast<const SoExistsFormula&>(*f);
       const NodeFacts body = Visit(so.body());
-      facts.pred = InternPred(so.rel_var());
-      key.push_back(facts.pred);
+      const std::size_t pred = InternPred(so.rel_var(), &facts.pred);
+      key.push_back(pred);
       key.push_back(so.arity());
       key.push_back(body.cls);
-      facts.cls = InternClass(
-          std::move(key),
-          EraseSorted(interner_->class_free_preds_[body.cls], facts.pred));
+      InternClass(std::move(key),
+                  EraseSorted(interner_->class_free_preds_[body.cls], pred),
+                  &facts);
       break;
     }
   }

@@ -156,85 +156,102 @@ class FormulaInterner {
 /// formula DAG, built once per root and then queried per node during
 /// evaluation.
 ///
-/// Every node is assigned a *class* id in [0, num_classes()): two nodes get
-/// the same class iff their subtrees are syntactically identical (exact
+/// Every node is assigned a *class* id from the interner: two nodes get the
+/// same class iff their subtrees are syntactically identical (exact
 /// hash-consing on the node shape and child classes, not just a hash — no
-/// collision can merge distinct subtrees). Predicate names — database
-/// relations, fixpoint recursion variables, and second-order witnesses
-/// alike — are interned to dense ids in [0, num_preds()).
+/// collision can merge distinct subtrees). Class ids are interner-wide, so
+/// they are what cache keys, snapshots and the batch planner use.
 ///
-/// Per class the index records the *free relation variables*: the sorted
-/// predicate ids used in the subtree that are not bound by a fixpoint or
-/// second-order quantifier inside it. A subformula's value is a function of
-/// the database and of exactly those bindings, which is what makes the pair
-/// (class, versions of its free rel-vars) a sound memoization key for the
-/// bounded evaluator (Proposition 3.1's "never recompute at the same
-/// arity", extended across fixpoint iterations).
+/// Each of the root's own classes also gets a dense per-query *slot* in
+/// [0, num_slots()), numbered in first-visit order, and each predicate name
+/// it mentions — database relation, fixpoint recursion variable or
+/// second-order witness alike — a dense per-query id in [0, num_preds()).
+/// Per-query tables (the evaluator's memo and environment) are indexed by
+/// these, so they cost what the query has, not what the interner has seen.
+/// With a private interner, slots and class ids coincide.
 ///
-/// When built on a shared FormulaInterner, the index interns into the
-/// shared arena and then snapshots *all* classes/preds interned so far
-/// (not just this root's): num_classes()/num_preds() report the snapshot
-/// totals, so tables indexed by class or pred id sized from them accept
-/// any id this index can hand out, and every accessor below is lock-free
-/// after construction.
+/// Per slot the index records the class id, its structural hash and its
+/// *free relation variables*: the predicates used in the subtree that are
+/// not bound by a fixpoint or second-order quantifier inside it. A
+/// subformula's value is a function of the database and of exactly those
+/// bindings, which is what makes the pair (class, versions of its free
+/// rel-vars) a sound memoization key for the bounded evaluator
+/// (Proposition 3.1's "never recompute at the same arity", extended across
+/// fixpoint iterations).
+///
+/// The constructor holds the interner's lock for the build and snapshots
+/// only the root's own slots and names, so every accessor below is
+/// lock-free afterwards.
 class FormulaIndex {
  public:
   /// Sentinel for "node has no resolving predicate" / "name not interned".
   static constexpr std::size_t kNoPred = static_cast<std::size_t>(-1);
 
-  /// What the evaluator needs per node visit: the structural class and, for
-  /// atoms / fixpoints / second-order binders, the interned id of the name
-  /// they resolve or bind (kNoPred otherwise).
+  /// What the evaluator needs per node visit: the structural class, its
+  /// per-query slot and, for atoms / fixpoints / second-order binders, the
+  /// per-query id of the name they resolve or bind (kNoPred otherwise).
   struct NodeFacts {
     std::size_t cls = 0;
+    std::size_t slot = 0;
     std::size_t pred = kNoPred;
   };
 
   /// Builds the index for `root`. With a null `interner` the index owns a
-  /// private arena (ids dense over this root alone); otherwise it interns
-  /// into — and snapshots from — the shared arena, which must outlive the
-  /// index.
+  /// private arena; otherwise it interns into the shared arena, which must
+  /// outlive the index.
   explicit FormulaIndex(const FormulaPtr& root,
                         FormulaInterner* interner = nullptr);
 
   /// Facts for a node of the indexed formula. The node must belong to it.
   const NodeFacts& Facts(const Formula* node) const;
 
-  /// Interned id of `name`, or kNoPred if the snapshot does not contain it.
+  /// Per-query id of `name`, or kNoPred if the formula does not mention it.
   std::size_t PredId(const std::string& name) const;
-  const std::string& PredName(std::size_t pred_id) const {
-    return *pred_names_[pred_id];
+  const std::string& PredName(std::size_t pred) const {
+    return *pred_names_[pred];
   }
   std::size_t num_preds() const { return pred_names_.size(); }
-  std::size_t num_classes() const { return class_hashes_.size(); }
+  std::size_t num_slots() const { return slots_.size(); }
 
-  /// Sorted interned ids of the free relation variables of class `cls`.
-  const std::vector<std::size_t>& FreeRelVars(std::size_t cls) const {
-    return *class_free_preds_[cls];
+  /// Interner-wide class id of `slot`.
+  std::size_t ClassOf(std::size_t slot) const { return slots_[slot].cls; }
+
+  /// Per-query ids of the free relation variables of `slot`, in ascending
+  /// interner-wide id: the order AnswerCache keys list their versions in.
+  const std::vector<std::size_t>& FreeRelVars(std::size_t slot) const {
+    return slots_[slot].free_preds;
   }
 
-  /// FNV-1a hash of the class's structural shape. Within one interner,
+  /// FNV-1a hash of the slot's structural shape. Within one interner,
   /// equal hashes are overwhelmingly likely to mean equal classes, but the
   /// class id — not this hash — is the collision-free identity.
-  uint64_t StructuralHash(std::size_t cls) const {
-    return class_hashes_[cls];
+  uint64_t StructuralHash(std::size_t slot) const {
+    return slots_[slot].hash;
   }
 
  private:
-  std::size_t InternPred(const std::string& name);
+  struct Slot {
+    std::size_t cls;
+    uint64_t hash;
+    std::vector<std::size_t> free_preds;
+  };
+
+  // Interns `name`, stores its per-query id (numbered on first sight) in
+  // *local, and returns its interner-wide id.
+  std::size_t InternPred(const std::string& name, std::size_t* local);
   NodeFacts Visit(const FormulaPtr& f);
-  std::size_t InternClass(std::vector<uint64_t> key,
-                          std::vector<std::size_t> free_preds);
+  // Interns the class and fills in facts->cls and facts->slot.
+  void InternClass(std::vector<uint64_t> key,
+                   std::vector<std::size_t> free_preds, NodeFacts* facts);
 
   std::unique_ptr<FormulaInterner> owned_;  // set iff no shared interner
   FormulaInterner* interner_;               // the arena Visit interns into
   std::unordered_map<const Formula*, NodeFacts> facts_;
-  // Post-build snapshots (see class comment): copies of the small id maps,
-  // pointers into the interner's stable deque storage for the rest.
+  std::unordered_map<std::size_t, std::size_t> slot_of_class_;
+  std::vector<Slot> slots_;
+  std::unordered_map<std::size_t, std::size_t> local_pred_;  // by global id
   std::unordered_map<std::string, std::size_t> pred_ids_;
   std::vector<const std::string*> pred_names_;
-  std::vector<const std::vector<std::size_t>*> class_free_preds_;
-  std::vector<uint64_t> class_hashes_;
 };
 
 }  // namespace bvq

@@ -74,7 +74,8 @@ Result<BatchPlan> PlanBatch(std::vector<Query> queries, const Database& db,
     while (!stack.empty()) {
       auto [f, expanded] = stack.back();
       stack.pop_back();
-      const std::size_t cls = index.Facts(f.get()).cls;
+      const FormulaIndex::NodeFacts& facts = index.Facts(f.get());
+      const std::size_t cls = facts.cls;
       const auto key = std::make_pair(cls, k);
       if (!expanded) {
         if (node_ids.count(key) != 0) {
@@ -118,7 +119,7 @@ Result<BatchPlan> PlanBatch(std::vector<Query> queries, const Database& db,
         node.stage = std::max(node.stage, plan.nodes[ci].stage + 1);
       }
       node.db_only = true;
-      for (const std::size_t pred : index.FreeRelVars(cls)) {
+      for (const std::size_t pred : index.FreeRelVars(facts.slot)) {
         if (db.relation_version(index.PredName(pred)) == 0) {
           node.db_only = false;
           break;

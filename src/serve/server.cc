@@ -27,6 +27,25 @@ std::string FormatRatio(double value) {
   return buf;
 }
 
+// The payload of an answer of `count` tuples whose first rows are `head`.
+std::string FormatRows(std::size_t count, const Relation& head,
+                       std::size_t limit) {
+  std::ostringstream os;
+  os << "  " << count << " tuple(s), arity " << head.arity() << "\n";
+  for (std::size_t i = 0; i < head.size() && i < limit; ++i) {
+    os << "    (";
+    for (std::size_t j = 0; j < head.arity(); ++j) {
+      if (j > 0) os << ",";
+      os << head.tuple(i)[j];
+    }
+    os << ")\n";
+  }
+  if (count > limit) {
+    os << "    ... (" << count - limit << " more)\n";
+  }
+  return os.str();
+}
+
 }  // namespace
 
 const std::string& ProtocolHelpText() {
@@ -55,20 +74,11 @@ const std::string& ProtocolHelpText() {
 }
 
 std::string FormatRelation(const Relation& rel, std::size_t limit) {
-  std::ostringstream os;
-  os << "  " << rel.size() << " tuple(s), arity " << rel.arity() << "\n";
-  for (std::size_t i = 0; i < rel.size() && i < limit; ++i) {
-    os << "    (";
-    for (std::size_t j = 0; j < rel.arity(); ++j) {
-      if (j > 0) os << ",";
-      os << rel.tuple(i)[j];
-    }
-    os << ")\n";
-  }
-  if (rel.size() > limit) {
-    os << "    ... (" << rel.size() - limit << " more)\n";
-  }
-  return os.str();
+  return FormatRows(rel.size(), rel, limit);
+}
+
+std::string FormatAnswer(const ProjectedAnswer& answer, std::size_t limit) {
+  return FormatRows(answer.Count(), answer.FirstRows(limit), limit);
 }
 
 std::string FormatResultBlock(std::uint64_t id, const Status& status,
@@ -419,13 +429,13 @@ void Server::RunEval(std::uint64_t id, std::shared_ptr<Session> session,
     eval_options.cross_query_cache = session->cache_enabled();
     BoundedEvaluator eval(session->db(), num_vars, eval_options);
     const auto start = std::chrono::steady_clock::now();
-    auto result = eval.EvaluateQuery(*parsed);
+    auto result = eval.EvaluateAnswer(*parsed);
     const auto stop = std::chrono::steady_clock::now();
     out.eval_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
     out.eval_stats = eval.stats();
     if (result.ok()) {
-      out.payload = FormatRelation(*result, options_.payload_tuple_limit);
+      out.payload = FormatAnswer(*result, options_.payload_tuple_limit);
     } else {
       out.status = result.status();
     }

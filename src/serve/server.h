@@ -30,6 +30,12 @@ namespace bvq::serve {
 /// "served result == direct result" a byte-level statement.
 std::string FormatRelation(const Relation& rel, std::size_t limit = 20);
 
+/// The same bytes as FormatRelation(answer.ToRelation(), limit), from the
+/// answer's popcount and its first `limit` rows: the rows past `limit` are
+/// never built, so an answer of n^k tuples costs its cube and no more.
+std::string FormatAnswer(const ProjectedAnswer& answer,
+                         std::size_t limit = 20);
+
 /// Renders one eval completion as the protocol's result block:
 ///
 ///   result <id> ok              result <id> error <StatusCodeName>
@@ -71,7 +77,7 @@ struct EvalOutcome {
   std::uint64_t id = 0;
   std::string session;
   Status status;        // OK, or the parse/evaluator/admission failure
-  std::string payload;  // FormatRelation(answer); empty on error
+  std::string payload;  // FormatAnswer(answer); empty on error
   EvalStats eval_stats;
   ResourceStats resource;     // composite per-query token snapshot
   double queue_wait_ms = 0.0; // time spent in the admission queue

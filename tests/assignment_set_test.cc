@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "db/assignment_set.h"
 #include "db/generators.h"
@@ -155,6 +158,97 @@ TEST(AssignmentSetTest, FromAtomToRelationRoundTrip) {
   Relation r = RandomRelation(4, 2, 0.3, rng);
   AssignmentSet a = AssignmentSet::FromAtom(4, 2, r, {0, 1});
   EXPECT_EQ(a.ToRelation({0, 1}), r);
+}
+
+// One row per set bit, then the sorting Build(): ToRelation's old body.
+Relation SortedReference(const AssignmentSet& a,
+                         const std::vector<std::size_t>& vars) {
+  RelationBuilder b(vars.size());
+  std::vector<Value> row(vars.size());
+  for (std::size_t r = 0; r < a.indexer().NumTuples(); ++r) {
+    if (!a.Test(r)) continue;
+    for (std::size_t j = 0; j < vars.size(); ++j) {
+      row[j] = a.indexer().Digit(r, vars[j]);
+    }
+    b.Add(row.data());
+  }
+  return b.Build();
+}
+
+// Every answer list over x_1..x_k of length 0..k+1: repeats, permutations
+// and lists that drop variables.
+std::vector<std::vector<std::size_t>> AllAnswerLists(std::size_t k) {
+  std::vector<std::vector<std::size_t>> lists{{}};
+  for (std::size_t begin = 0, len = 0; len <= k; ++len) {
+    const std::size_t end = lists.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t v = 0; v < k; ++v) {
+        std::vector<std::size_t> longer = lists[i];
+        longer.push_back(v);
+        lists.push_back(std::move(longer));
+      }
+    }
+    begin = end;
+  }
+  return lists;
+}
+
+TEST(AssignmentSetTest, ToRelationMatchesSortedReference) {
+  Rng rng(23);
+  // Domains past 64 give lines of several words at unaligned offsets.
+  const std::vector<std::vector<std::size_t>> domains = {
+      {1, 2, 5, 64, 67, 130}, {1, 3, 9, 65, 70}, {2, 4, 13}, {2, 3, 5}};
+  for (std::size_t k = 1; k <= 4; ++k) {
+    const auto lists = AllAnswerLists(k);
+    for (std::size_t n : domains[k - 1]) {
+      for (double density : {0.0, 0.03, 0.5, 1.0}) {
+        AssignmentSet a(n, k);
+        for (std::size_t r = 0; r < a.indexer().NumTuples(); ++r) {
+          if (density == 1.0 || rng.Bernoulli(density)) a.Set(r);
+        }
+        for (const auto& vars : lists) {
+          const Relation want = SortedReference(a, vars);
+          const Relation got = a.ToRelation(vars);
+          ASSERT_EQ(got, want) << "k=" << k << " n=" << n
+                               << " density=" << density
+                               << " vars=" << vars.size();
+          EXPECT_EQ(got.fingerprint(), want.fingerprint());
+          EXPECT_EQ(a.Project(vars).Count(), want.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(AssignmentSetTest, ProjectFirstRowsIsAPrefix) {
+  Rng rng(29);
+  AssignmentSet a(7, 3);
+  for (std::size_t r = 0; r < 343; ++r) {
+    if (rng.Bernoulli(0.2)) a.Set(r);
+  }
+  const ProjectedAnswer answer = a.Project({2, 0, 2});
+  const Relation all = answer.ToRelation();
+  for (std::size_t limit : {0, 1, 5, 1000}) {
+    const Relation head = answer.FirstRows(limit);
+    ASSERT_EQ(head.size(), std::min(limit, all.size()));
+    for (std::size_t i = 0; i < head.size(); ++i) {
+      EXPECT_EQ(head.TupleAt(i), all.TupleAt(i));
+    }
+  }
+}
+
+TEST(AssignmentSetTest, ProjectOfNoVariablesIsAProposition) {
+  AssignmentSet a(4, 2);
+  EXPECT_EQ(a.ToRelation({}), Relation::Proposition(false));
+  a.SetAssignment({3, 1});
+  EXPECT_EQ(a.ToRelation({}), Relation::Proposition(true));
+  EXPECT_EQ(a.Project({}).Count(), 1u);
+  // An empty domain has no assignment at all.
+  EXPECT_EQ(AssignmentSet(0, 2).ToRelation({}), Relation::Proposition(false));
+  EXPECT_EQ(AssignmentSet(0, 2).ToRelation({1, 0}), Relation(2));
+  // With no variables the cube is one bit.
+  EXPECT_EQ(AssignmentSet::Full(5, 0).ToRelation({}),
+            Relation::Proposition(true));
 }
 
 TEST(AssignmentSetTest, HashChangesWithContent) {

@@ -51,6 +51,37 @@ TEST(RelationTest, ZeroArityViaBuilder) {
   EXPECT_FALSE(b2.Build().AsBool());
 }
 
+TEST(RelationTest, BuildSortedMatchesBuild) {
+  Rng rng(31);
+  for (std::size_t arity = 0; arity <= 4; ++arity) {
+    for (double density : {0.0, 0.1, 0.6}) {
+      // Distinct rows in lexicographic order for BuildSorted; the same rows
+      // shuffled, each twice, for Build.
+      Relation full = Relation::Full(arity, 5).value();
+      std::vector<Tuple> rows;
+      for (std::size_t i = 0; i < full.size(); ++i) {
+        if (rng.Bernoulli(density)) rows.push_back(full.TupleAt(i));
+      }
+      RelationBuilder sorted(arity);
+      for (const Tuple& t : rows) sorted.Add(t);
+      std::vector<Tuple> shuffled = rows;
+      shuffled.insert(shuffled.end(), rows.begin(), rows.end());
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+      }
+      RelationBuilder unsorted(arity);
+      for (const Tuple& t : shuffled) unsorted.Add(t);
+      const Relation a = sorted.BuildSorted();
+      const Relation b = unsorted.Build();
+      EXPECT_EQ(a, b) << "arity " << arity;
+      EXPECT_EQ(a.size(), b.size());
+      EXPECT_EQ(a.fingerprint(), b.fingerprint());
+      // The builder is left empty and reusable.
+      EXPECT_TRUE(sorted.BuildSorted().empty());
+    }
+  }
+}
+
 TEST(RelationTest, FullEnumeratesLexicographically) {
   auto r = Relation::Full(2, 3);
   ASSERT_TRUE(r.ok());

@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "common/resource.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "db/assignment_set.h"
 #include "db/database.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"
@@ -285,6 +287,39 @@ TEST(ServeTest, ServedResultIsByteIdenticalToDirectEvaluatorRun) {
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_EQ(out.payload, want);
   EXPECT_GT(out.eval_ms, 0.0);
+}
+
+// The served payload is read off the projected answer; it must be the
+// bytes of the direct printout of the whole relation, for every answer list
+// (repeats, permutations, dropped variables, no variables), empty answers
+// and every kind of limit.
+TEST(ServeTest, FormatAnswerMatchesFormatRelation) {
+  Rng rng(37);
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (std::size_t n : {1, 3, 6}) {
+      for (double density : {0.0, 0.05, 0.6}) {
+        AssignmentSet cube(n, k);
+        for (std::size_t r = 0; r < cube.indexer().NumTuples(); ++r) {
+          if (rng.Bernoulli(density)) cube.Set(r);
+        }
+        for (std::size_t len = 0; len <= k + 1; ++len) {
+          for (int trial = 0; trial < 6; ++trial) {
+            std::vector<std::size_t> vars(len);
+            for (std::size_t& v : vars) v = rng.Below(k);
+            const ProjectedAnswer answer = cube.Project(vars);
+            const Relation rel = cube.ToRelation(vars);
+            for (std::size_t limit : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{20}, rel.size() + 1}) {
+              EXPECT_EQ(FormatAnswer(answer, limit),
+                        FormatRelation(rel, limit))
+                  << "k=" << k << " n=" << n << " len=" << len
+                  << " limit=" << limit;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ServeTest, EmptyDomainSessionEvaluatesToEmptyAnswer) {

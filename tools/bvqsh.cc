@@ -197,11 +197,14 @@ void PrintResourceStats(const ResourceStats& rs) {
       rs.stopped ? StatusCodeName(rs.stop_code) : "");
 }
 
+void PrintText(const std::string& text) {
+  std::fwrite(text.data(), 1, text.size(), stdout);
+}
+
 // Shared with the serving layer, so a served payload and a direct printout
 // are byte-identical by construction.
 void PrintRelation(const Relation& rel, std::size_t limit = 20) {
-  const std::string text = serve::FormatRelation(rel, limit);
-  std::fwrite(text.data(), 1, text.size(), stdout);
+  PrintText(serve::FormatRelation(rel, limit));
 }
 
 void PrintAssignmentSet(const AssignmentSet& set, std::size_t limit = 20) {
@@ -562,9 +565,9 @@ bool HandleLine(ShellState& state, const std::string& line) {
       options.answer_cache = &state.answer_cache;
       options.cross_query_cache = state.cross_query_cache;
       BoundedEvaluator eval(state.db, state.num_vars, options);
-      auto result = eval.EvaluateQuery(*query);
+      auto result = eval.EvaluateAnswer(*query);
       const auto stop = now();
-      if (result.ok()) PrintRelation(*result);
+      if (result.ok()) PrintText(serve::FormatAnswer(*result));
       // Stats print even on error: a governed trip reports the partial
       // counters accumulated before the cut.
       std::printf(
