@@ -11,23 +11,15 @@
 //              fingerprint matches)
 //   prewarmed  the batch on that restarted cache, with a new interner
 //
-// and one write row: a `rel` of a relation W into a session whose cache
-// holds 4,096 entries, none of them over W, against the same `rel` into an
-// empty cache (at least 5 reps of 100 writes each).
-//
 //   bench_cache_warm [--n=40] [--reps=3] [--threads=1]
 //                    [--out=BENCH_cache.json]
 //
 // Writes BENCH_cache.json. Gates: every pass answers every query
 // byte-identically to the off pass, every query of the warm and prewarmed
-// passes hits the cache, the restore resolves entries, and the write into
-// the full cache frees nothing and costs at most twice the write into the
-// empty one.
+// passes hits the cache, and the restore resolves entries.
 
-#include <algorithm>
 #include <map>
 #include <memory>
-#include <string>
 
 #include "bench_common.h"
 #include "eval/answer_cache.h"
@@ -69,32 +61,6 @@ Pass RunBatch(const Database& db, const std::vector<FormulaPtr>& batch,
   }
   return out;
 }
-
-// The i-th of 2^11 distinct walk guards on x1 over E and P, the shape of
-// the servebench cold stream's: each brings database-only classes of its
-// own.
-std::string WalkGuard(std::size_t i) {
-  std::string guard = "P(x1)";
-  for (int step = 0; step < 11; ++step) {
-    const char* atom = (i >> step & 1) != 0 ? "E(x1,x3)" : "E(x3,x1)";
-    guard = StrCat("exists x3 . (", atom, " & exists x1 . (x1 = x3 & ",
-                   guard, "))");
-  }
-  return guard;
-}
-
-// One `rel` as a session takes it: parse, install, then free the cache
-// entries the write made unreachable.
-void Write(const std::string& text, Database* db, AnswerCache* cache) {
-  const Database parsed = bvq_bench::Must(ParseDatabase(text), "rel");
-  for (const auto& [name, rel] : parsed.relations()) {
-    bvq_bench::Must(db->AddRelation(name, rel), "rel");
-  }
-  cache->ResolveAgainst(*db);
-}
-
-constexpr std::size_t kWriteEntries = 4096;
-constexpr std::size_t kWritesPerRep = 100;
 
 }  // namespace
 
@@ -166,47 +132,6 @@ int main(int argc, char** argv) {
                std::string(pass) + " pass: a query never hit the cache");
     }
   }
-  // The write row. W is a cycle over the domain; no cached entry reads it.
-  SessionCache full, empty;
-  Database full_db = db, empty_db = db;
-  {
-    BoundedEvalOptions fill;
-    fill.num_threads = threads;
-    fill.answer_cache = &full.cache;
-    for (std::size_t i = 0;
-         full.cache.stats().entries < kWriteEntries && i < 2048; ++i) {
-      BoundedEvaluator eval(full_db, 3, fill);
-      bvq_bench::Must(
-          eval.Evaluate(bvq_bench::Must(ParseFormula(WalkGuard(i)), "walk")),
-          "fill");
-    }
-  }
-  const std::size_t full_entries = full.cache.stats().entries;
-  rec.Gate(full_entries >= kWriteEntries,
-           "the walk guards left fewer entries than the write row needs");
-  std::string write = StrCat("domain ", db.domain_size(), "\nrel W/2");
-  for (std::size_t v = 0; v < db.domain_size(); ++v) {
-    write += StrCat(" ", v, " ", (v + 1) % db.domain_size(), " ;");
-  }
-  write += "\n";
-  const std::size_t write_reps = std::max<std::size_t>(reps, 5);
-  const auto writes = [&](Database* d, SessionCache* c) {
-    for (std::size_t i = 0; i < kWritesPerRep; ++i) Write(write, d, &c->cache);
-  };
-  const double per_write_us = 1000.0 / kWritesPerRep;
-  const bvq_bench::Spread write_empty =
-      bvq_bench::Time(write_reps, [&] { writes(&empty_db, &empty); }) *
-      per_write_us;
-  const bvq_bench::Spread write_full =
-      bvq_bench::Time(write_reps, [&] { writes(&full_db, &full); }) *
-      per_write_us;
-  const double write_ratio = write_full.median / write_empty.median;
-  rec.Gate(full.cache.stats().entries == full_entries,
-           "a write of W freed entries that do not read W");
-  rec.Gate(write_ratio <= 2.0,
-           "a write into the full cache costs more than twice one into the "
-           "empty cache");
-
   rec.results.Set("off_ms", off)
       .Set("cold_ms", cold)
       .Set("warm_ms", warm)
@@ -218,10 +143,6 @@ int main(int argc, char** argv) {
       .Set("prewarmed_cache_hits", runs["prewarmed"].back().cache_hits)
       .Set("cache_resident_bytes", runs["warm"].back().cache_bytes)
       .Set("restored_entries", restored_entries)
-      .Set("snapshot_bytes", snapshot_bytes)
-      .Set("write_empty_us", write_empty)
-      .Set("write_full_us", write_full)
-      .Set("write_full_entries", full_entries)
-      .Set("write_full_over_empty", write_ratio);
+      .Set("snapshot_bytes", snapshot_bytes);
   return rec.Finish();
 }

@@ -108,33 +108,10 @@ void AnswerCache::Insert(const Key& key, const AssignmentSet& value) {
   }
   const std::size_t bytes = EntryBytes(key, value);
   if (!ReserveBytes(bytes)) return;
-  AddLive(key, value, bytes, interner_.FreePredNames(key.cls));
+  lru_.push_front(Entry{key, value, bytes});
+  entries_.emplace(key, lru_.begin());
   bytes_ += bytes;
   ++insertions_;
-}
-
-void AnswerCache::AddLive(Key key, AssignmentSet value, std::size_t bytes,
-                          const std::vector<std::string>& names) {
-  lru_.push_front(Entry{std::move(key), std::move(value), bytes, {}, {}, {}});
-  Entry& e = lru_.front();
-  entries_.emplace(e.key, lru_.begin());
-  e.domain = by_domain_.try_emplace(e.key.domain_size).first;
-  e.domain_pos = e.domain->second.insert(e.domain->second.end(), lru_.begin());
-  const auto file = [&](const std::string& name, std::uint64_t version) {
-    auto n = dependents_.try_emplace(name).first;
-    auto v = n->second.try_emplace(version).first;
-    e.links.push_back({n, v, v->second.insert(v->second.end(), lru_.begin())});
-  };
-  if (names.size() != e.key.versions.size()) {
-    // Not a key of this interner's class, so never current: filed where the
-    // next ResolveAgainst drops it (no relation is named "", and version 0
-    // means "missing").
-    file("", 0);
-    return;
-  }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    file(names[i], e.key.versions[i]);
-  }
 }
 
 void AnswerCache::Clear() {
@@ -144,17 +121,22 @@ void AnswerCache::Clear() {
   }
   lru_.clear();
   entries_.clear();
-  by_domain_.clear();
-  dependents_.clear();
   pending_.clear();
   bytes_ = 0;
 }
 
-bool AnswerCache::IsCurrent(const Entry& e, const Database& db) {
-  if (e.key.domain_size != db.domain_size()) return false;
-  for (const DependentLink& link : e.links) {
-    const std::uint64_t version = db.relation_version(link.name->first);
-    if (version == 0 || version != link.version->first) return false;
+bool AnswerCache::IsCurrent(const Key& key, const Database& db,
+                            FreeNameMemo* names) {
+  if (key.domain_size != db.domain_size()) return false;
+  auto it = names->find(key.cls);
+  if (it == names->end()) {
+    it = names->emplace(key.cls, interner_.FreePredNames(key.cls)).first;
+  }
+  const std::vector<std::string>& free = it->second;
+  if (free.size() != key.versions.size()) return false;
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    const std::uint64_t version = db.relation_version(free[i]);
+    if (version == 0 || version != key.versions[i]) return false;
   }
   return true;
 }
@@ -163,11 +145,11 @@ std::vector<AnswerCache::PortableEntry> AnswerCache::ExportResolved(
     const Database& db) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<PortableEntry> out;
+  FreeNameMemo names;
   for (const Entry& e : lru_) {
-    if (!IsCurrent(e, db)) continue;
+    if (!IsCurrent(e.key, db, &names)) continue;
     std::vector<std::pair<std::string, std::uint64_t>> rels;
-    for (const DependentLink& link : e.links) {
-      const std::string& name = link.name->first;
+    for (const std::string& name : names.at(e.key.cls)) {
       rels.emplace_back(name, db.relation_fingerprint(name));
     }
     std::sort(rels.begin(), rels.end());
@@ -212,14 +194,6 @@ std::size_t AnswerCache::Restore(std::vector<PortableEntry> entries) {
 AnswerCache::LruList::iterator AnswerCache::DropLive(LruList::iterator it) {
   bytes_ -= it->bytes;
   if (options_.governor != nullptr) options_.governor->Release(it->bytes);
-  for (const DependentLink& link : it->links) {
-    link.version->second.erase(link.pos);
-    if (!link.version->second.empty()) continue;
-    link.name->second.erase(link.version);
-    if (link.name->second.empty()) dependents_.erase(link.name);
-  }
-  it->domain->second.erase(it->domain_pos);
-  if (it->domain->second.empty()) by_domain_.erase(it->domain);
   entries_.erase(it->key);
   return lru_.erase(it);
 }
@@ -235,37 +209,9 @@ std::size_t AnswerCache::ResolveAgainst(const Database& db) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Free what this write made unreachable before the pending entries join:
   // those are keyed on db's current versions, so they would all survive.
-  // An entry is stale iff it sits in the bucket of another domain size or
-  // of a relation version db does not hold. Dropping an entry unlinks it
-  // from all of its buckets and erases the ones it empties, so the stale
-  // buckets are listed first and then looked up again until they are gone.
-  std::vector<std::size_t> stale_domains;
-  for (const auto& [size, bucket] : by_domain_) {
-    if (size != db.domain_size()) stale_domains.push_back(size);
-  }
-  for (std::size_t size : stale_domains) {
-    for (auto b = by_domain_.find(size); b != by_domain_.end();
-         b = by_domain_.find(size)) {
-      DropLive(b->second.front());
-    }
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> stale_versions;
-  for (const auto& [name, versions] : dependents_) {
-    const std::uint64_t current = db.relation_version(name);
-    for (const auto& [version, bucket] : versions) {
-      if (version == 0 || version != current) {
-        stale_versions.emplace_back(name, version);
-      }
-    }
-  }
-  for (const auto& [name, version] : stale_versions) {
-    for (;;) {
-      auto n = dependents_.find(name);
-      if (n == dependents_.end()) break;
-      auto v = n->second.find(version);
-      if (v == n->second.end()) break;
-      DropLive(v->second.front());
-    }
+  FreeNameMemo names;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    it = IsCurrent(it->key, db, &names) ? std::next(it) : DropLive(it);
   }
   std::size_t resolved = 0;
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -316,7 +262,9 @@ std::size_t AnswerCache::ResolveAgainst(const Database& db) {
       it = DropPending(it);  // a live query already recomputed this answer
       continue;
     }
-    AddLive(std::move(key), std::move(it->entry.value), it->bytes, names);
+    lru_.push_front(
+        Entry{std::move(key), std::move(it->entry.value), it->bytes});
+    entries_.emplace(lru_.front().key, lru_.begin());
     ++restored_;
     ++resolved;
     it = pending_.erase(it);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -61,9 +60,7 @@ struct AnswerCacheStats {
 /// reloading a relation changes its version, so stale entries stop
 /// matching. Invalidation is per key, never a flush: ResolveAgainst, which
 /// every database write calls, frees exactly the entries the write made
-/// unreachable and keeps every entry that is still current. Live entries
-/// are indexed by the (relation, version) pairs their keys depend on, so a
-/// write visits only the entries it frees.
+/// unreachable and keeps every entry that is still current.
 ///
 /// Only subtrees whose free relation variables are all database-resolved
 /// are cacheable (the BoundedEvaluator enforces this: an all-zero memo
@@ -155,9 +152,7 @@ class AnswerCache {
   /// longer current on `db` — its domain size differs, or a free relation's
   /// version is not `db`'s — and releases its bytes to max_bytes and the
   /// governor: versions are never reused, so no later lookup could reach
-  /// it. Live entries are filed by domain size and by relation version, so
-  /// this visits only the entries it frees. Then matches pending entries
-  /// against `db`: an entry whose domain
+  /// it. Then matches pending entries against `db`: an entry whose domain
   /// size and relation fingerprints all match has its canonical form
   /// interned and re-enters the live map keyed on the database's *current*
   /// versions. Entries that don't match stay pending (the database may
@@ -168,28 +163,12 @@ class AnswerCache {
   AnswerCacheStats stats() const;
 
  private:
-  struct Entry;
-  using LruList = std::list<Entry>;
-  // Live entries filed by what their keys depend on: the domain size, and
-  // each free relation's name and version.
-  using Bucket = std::list<LruList::iterator>;
-  using DomainBuckets = std::map<std::size_t, Bucket>;
-  using VersionBuckets = std::map<std::uint64_t, Bucket>;
-  using Dependents = std::map<std::string, VersionBuckets>;
-  // Where a live entry sits in dependents_: one link per free relation.
-  struct DependentLink {
-    Dependents::iterator name;
-    VersionBuckets::iterator version;
-    Bucket::iterator pos;
-  };
   struct Entry {
     Key key;
     AssignmentSet value;
     std::size_t bytes = 0;
-    DomainBuckets::iterator domain;
-    Bucket::iterator domain_pos;
-    std::vector<DependentLink> links;
   };
+  using LruList = std::list<Entry>;
 
   struct KeyHash {
     std::size_t operator()(const Key& key) const;
@@ -200,16 +179,17 @@ class AnswerCache {
     std::size_t bytes = 0;
   };
 
-  // True iff `e`'s key is the key the evaluator would build for its class
-  // on `db` now: the domain size is db's, and every free relation's version
-  // is db.relation_version(name) and not 0 (the relation exists).
-  static bool IsCurrent(const Entry& e, const Database& db);
+  // FormulaInterner::FreePredNames per class, filled during one pass over
+  // the live entries: classes recur across versions, so a pass asks the
+  // interner once per class, not once per entry.
+  using FreeNameMemo =
+      std::unordered_map<std::size_t, std::vector<std::string>>;
 
-  // Inserts a live entry at the front of lru_ and files it under its domain
-  // size and `names`, the free relations of its class in interned-id order.
-  // Requires mutex_ held.
-  void AddLive(Key key, AssignmentSet value, std::size_t bytes,
-               const std::vector<std::string>& names);
+  // True iff `key` is the key the evaluator would build for its class on
+  // `db` now: the domain size is db's, and every free relation's version
+  // is db.relation_version(name) and not 0 (the relation exists). Fills
+  // `(*names)[key.cls]` when the domain matches. Requires mutex_ held.
+  bool IsCurrent(const Key& key, const Database& db, FreeNameMemo* names);
 
   // Drops the next victim — the oldest pending entry if any (restored
   // warmth is speculative; live entries were paid for by real queries), the
@@ -231,8 +211,6 @@ class AnswerCache {
   mutable std::mutex mutex_;
   LruList lru_;  // front = most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> entries_;
-  DomainBuckets by_domain_;
-  Dependents dependents_;
   std::deque<PendingEntry> pending_;  // restored, not yet fingerprint-matched
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;

@@ -572,135 +572,6 @@ TEST(CacheReclaimTest, DomainChangeFreesEveryEntryOfTheOldSize) {
   EXPECT_EQ(session.stats().mem_current_bytes, 0u);
 }
 
-// Two binary relations R and S over a domain of 8.
-Database RsDb() {
-  Database db(8);
-  EXPECT_TRUE(db.AddRelation("R", PathGraph(8)).ok());
-  EXPECT_TRUE(db.AddRelation("S", CycleGraph(8)).ok());
-  return db;
-}
-
-TEST(CacheReclaimTest, AWriteDropsExactlyTheEntriesThatDependOnIt) {
-  Database db = RsDb();
-  AnswerCache cache;
-  BoundedEvalOptions on;
-  on.answer_cache = &cache;
-  MustEval(db, 3, MustParse("S(x1,x2) & S(x2,x1)"), on);  // 3 S entries
-  const std::size_t s_bytes = cache.stats().bytes;
-  MustEval(db, 3, MustParse("R(x1,x2) | S(x2,x1)"), on);  // R(x1,x2), the or
-  ASSERT_EQ(cache.stats().entries, 5u);
-
-  ASSERT_TRUE(db.AddRelation("R", CycleGraph(8)).ok());
-  EXPECT_EQ(cache.ResolveAgainst(db), 0u);
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().bytes, s_bytes);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // The S entries survive and still answer: the root is one hit.
-  EvalStats warm;
-  MustEval(db, 3, MustParse("S(x1,x2) & S(x2,x1)"), on, &warm);
-  EXPECT_EQ(warm.cache_hits, 1u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  // The R entries are gone: R(x1,x2) misses, S(x2,x1) hits.
-  EvalStats mixed;
-  MustEval(db, 3, MustParse("R(x1,x2) | S(x2,x1)"), on, &mixed);
-  EXPECT_EQ(mixed.cache_hits, 1u);
-  EXPECT_EQ(mixed.cache_misses, 2u);
-
-  // A write to a relation no entry depends on frees nothing.
-  ASSERT_TRUE(db.AddRelation("W", PathGraph(8)).ok());
-  cache.ResolveAgainst(db);
-  EXPECT_EQ(cache.stats().entries, 5u);
-}
-
-TEST(CacheReclaimTest, DomainChangeDropsEveryEntry) {
-  Database db = RsDb();
-  ResourceGovernor session;
-  AnswerCacheOptions options;
-  options.governor = &session;
-  AnswerCache cache(options);
-  BoundedEvalOptions on;
-  on.answer_cache = &cache;
-  MustEval(db, 3, MustParse("R(x1,x2) | (S(x2,x1) & x1 = x3)"), on);
-  ASSERT_GT(cache.stats().entries, 0u);
-  Database bigger(9);
-  ASSERT_TRUE(bigger.AddRelation("R", PathGraph(9)).ok());
-  cache.ResolveAgainst(bigger);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_EQ(session.stats().mem_current_bytes, 0u);
-  // Entries of the new size are filed and reclaimed like any others.
-  MustEval(bigger, 3, MustParse("R(x1,x2) & x1 = x3"), on);
-  EXPECT_EQ(cache.stats().entries, 3u);
-  ASSERT_TRUE(bigger.AddRelation("R", CycleGraph(9)).ok());
-  cache.ResolveAgainst(bigger);
-  EXPECT_EQ(cache.stats().entries, 1u);  // x1 = x3
-  EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
-}
-
-TEST(CacheReclaimTest, RestoredEntriesResolveAndAreReclaimedByLaterWrites) {
-  Database db = RsDb();
-  AnswerCache warm;
-  BoundedEvalOptions warm_on;
-  warm_on.answer_cache = &warm;
-  MustEval(db, 3, MustParse("R(x1,x2) | S(x2,x1)"), warm_on);
-  std::vector<AnswerCache::PortableEntry> exported = warm.ExportResolved(db);
-  ASSERT_EQ(exported.size(), 3u);
-
-  // Restored against other contents: pending until a write makes R and S
-  // match the snapshot's fingerprints again.
-  Database other(8);
-  ASSERT_TRUE(other.AddRelation("R", CycleGraph(8)).ok());
-  AnswerCache cache;
-  ASSERT_EQ(cache.Restore(std::move(exported)), 3u);
-  EXPECT_EQ(cache.ResolveAgainst(other), 0u);
-  ASSERT_TRUE(other.AddRelation("R", PathGraph(8)).ok());
-  ASSERT_TRUE(other.AddRelation("S", CycleGraph(8)).ok());
-  EXPECT_EQ(cache.ResolveAgainst(other), 3u);
-  EXPECT_EQ(cache.stats().entries, 3u);
-
-  // The resolved entries are filed under R and S like inserted ones.
-  ASSERT_TRUE(other.AddRelation("S", PathGraph(8)).ok());
-  cache.ResolveAgainst(other);
-  EXPECT_EQ(cache.stats().entries, 1u);  // R(x1,x2)
-  BoundedEvalOptions on;
-  on.answer_cache = &cache;
-  EvalStats stats;
-  MustEval(other, 3, MustParse("R(x1,x2)"), on, &stats);
-  EXPECT_EQ(stats.cache_hits, 1u);
-}
-
-TEST(CacheReclaimTest, EvictedEntriesAreNeverVisitedOrFreedAgain) {
-  Database db = RsDb();
-  AnswerCache probe;
-  BoundedEvalOptions probe_on;
-  probe_on.answer_cache = &probe;
-  MustEval(db, 3, MustParse("R(x1,x2)"), probe_on);
-  ResourceGovernor session;
-  AnswerCacheOptions options;
-  options.governor = &session;
-  options.max_bytes = 2 * probe.stats().bytes;  // room for two entries
-  AnswerCache cache(options);
-  BoundedEvalOptions on;
-  on.answer_cache = &cache;
-  for (const char* q : {"R(x1,x2)", "R(x2,x1)", "R(x1,x3)", "S(x1,x2)"}) {
-    MustEval(db, 3, MustParse(q), on);
-  }
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.stats().entries, 2u);  // R(x1,x3) and S(x1,x2)
-  EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
-
-  ASSERT_TRUE(db.AddRelation("R", CycleGraph(8)).ok());
-  cache.ResolveAgainst(db);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(session.stats().mem_current_bytes, cache.stats().bytes);
-  ASSERT_TRUE(db.AddRelation("S", PathGraph(8)).ok());
-  cache.ResolveAgainst(db);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(session.stats().mem_current_bytes, 0u);
-}
-
 // --- Per-query state in a long session --------------------------------------
 
 // The i-th of 2^11 distinct walk guards on x1 over E and P, in the shape of

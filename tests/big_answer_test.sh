@@ -7,9 +7,11 @@
 #
 #   big_answer_test.sh <bvqserve> <bvqsh> [<sanitizer>]
 #
-# A sanitized build reserves terabytes of shadow address space, so with a
-# sanitizer named the limit is not set (the count and rows are still
-# checked).
+# Every thread reserves its stack in the address space, so both run one
+# evaluator thread (and bvqserve one executor lane): the limit then bounds
+# the answer's memory whatever the host's core count. A sanitized build
+# reserves terabytes of shadow address space, so with a sanitizer named the
+# limit is not set (the count and rows are still checked).
 set -euo pipefail
 
 bvqserve=${1:?usage: big_answer_test.sh <bvqserve> <bvqsh> [<sanitizer>]}
@@ -30,9 +32,10 @@ fail() {
   echo "    ... (134217708 more)"
 } > "$tmp/want"
 
-printf 'open s1 k=3\ndomain s1 512\neval 1 s1 (x1,x2,x3) true\ndrain\nquit\n' \
-    > "$tmp/serve.in"
-printf 'k 3\ndomain 512\neval (x1,x2,x3) true\n' > "$tmp/shell.in"
+printf '%s\n' 'open s1 k=3 threads=1' 'domain s1 512' \
+    'eval 1 s1 (x1,x2,x3) true' drain quit > "$tmp/serve.in"
+printf '%s\n' 'k 3' 'threads 1' 'domain 512' 'eval (x1,x2,x3) true' \
+    > "$tmp/shell.in"
 
 run() {
   local name=$1
@@ -48,7 +51,7 @@ run() {
   fi
 }
 
-run bvqserve "$bvqserve" "$tmp/serve.in"
+run bvqserve "$bvqserve" --lanes=1 "$tmp/serve.in"
 sed -n '/^result 1 ok$/,/^end 1$/p' "$tmp/bvqserve.out" | sed '1d;$d' \
     > "$tmp/served"
 diff "$tmp/want" "$tmp/served" >&2 || fail "bvqserve payload differs"
