@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -215,6 +216,12 @@ class Flags {
                     const std::string& help) {
     return Declare(std::move(name), Kind::kText, "TEXT", help, def).text = def;
   }
+  // A file to write: non-empty text, recorded by its base name, so a record
+  // names its file and not the directory a run happened to write it to.
+  std::string& File(std::string name, std::string def,
+                    const std::string& help) {
+    return Declare(std::move(name), Kind::kFile, "FILE", help, def).text = def;
+  }
 
   // Consumes every declared flag in argv. Anything else is a usage error,
   // except that with `pass_benchmark` the --benchmark_* flags stay in argv
@@ -240,6 +247,8 @@ class Flags {
     for (const Def& d : defs_) {
       if (d.kind == Kind::kText) {
         config->Set(d.name, d.text);
+      } else if (d.kind == Kind::kFile) {
+        config->Set(d.name, std::filesystem::path(d.text).filename().string());
       } else if (d.kind == Kind::kSwitch) {
         config->Set(d.name, d.on);
       } else {
@@ -249,7 +258,7 @@ class Flags {
   }
 
  private:
-  enum class Kind { kNum, kSwitch, kMiB, kText };
+  enum class Kind { kNum, kSwitch, kMiB, kText, kFile };
   struct Def {
     std::string name;
     Kind kind;
@@ -288,6 +297,7 @@ class Flags {
           return bvq::ParseSizeT(value, &d.num) &&
                  bvq::MiBToBytes(d.num, &d.num);
         case Kind::kText:
+        case Kind::kFile:
           d.text = value;
           return !value.empty();
       }
@@ -310,7 +320,7 @@ class Record {
       : bench_(std::move(bench)),
         n_(flags.Num("n", n, 1, "domain size")),
         reps_(flags.Num("reps", 3, 1, "timed repetitions, at least 1")),
-        out_(flags.Text("out", std::move(out), "record to write")) {
+        out_(flags.File("out", std::move(out), "record to write")) {
     results.Set("bench", bench_);
   }
 

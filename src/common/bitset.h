@@ -41,6 +41,30 @@ class DynamicBitset {
     }
   }
 
+  /// The `len` (1..64) bits from bit `pos` on, in the low bits of the
+  /// result; pos + len <= size(). The word-level kernels read lines that
+  /// start anywhere in a word through this.
+  uint64_t ReadBits(std::size_t pos, std::size_t len) const {
+    assert(len >= 1 && len <= 64 && pos + len <= num_bits_);
+    const std::size_t off = pos & 63;
+    uint64_t bits = words_[pos >> 6] >> off;
+    if (off + len > 64) bits |= words_[(pos >> 6) + 1] << (64 - off);
+    return bits & LowBits(len);
+  }
+  /// ORs `bits` into the bits from `pos` on. None may land at or past
+  /// size(); only the words holding set bits of the result are written.
+  void OrBits(std::size_t pos, uint64_t bits) {
+    const std::size_t off = pos & 63;
+    words_[pos >> 6] |= bits << off;
+    if (off != 0 && bits >> (64 - off) != 0) {
+      words_[(pos >> 6) + 1] |= bits >> (64 - off);
+    }
+  }
+  /// A word with its low `len` (0..64) bits set.
+  static uint64_t LowBits(std::size_t len) {
+    return len >= 64 ? ~uint64_t{0} : (uint64_t{1} << len) - 1;
+  }
+
   /// Sets all bits to 0 / 1.
   void ResetAll();
   void SetAll();

@@ -9,23 +9,6 @@ namespace bvq {
 
 namespace {
 
-// The `len` (<= 64) bits of `words` from bit `pos` on, in the low bits.
-uint64_t ReadBits(const uint64_t* words, std::size_t pos, std::size_t len) {
-  const std::size_t off = pos % 64;
-  uint64_t bits = words[pos / 64] >> off;
-  if (off + len > 64) bits |= words[pos / 64 + 1] << (64 - off);
-  return len == 64 ? bits : bits & ((uint64_t{1} << len) - 1);
-}
-
-// ORs `bits` into `words` from bit `pos` on; none may land past the end.
-void OrBits(uint64_t* words, std::size_t pos, uint64_t bits) {
-  const std::size_t off = pos % 64;
-  words[pos / 64] |= bits << off;
-  if (off != 0 && bits >> (64 - off) != 0) {
-    words[pos / 64 + 1] |= bits >> (64 - off);
-  }
-}
-
 // Runs fill(dst, begin, end) over the chunks of [0, items). Chunk 0 fills
 // `out` itself and every later chunk a private shard, OR-ed into `out` in
 // chunk order afterwards. OR is commutative, so the result is the same for
@@ -82,31 +65,58 @@ void Quantify(const DynamicBitset& in, std::size_t n, std::size_t stride,
         });
     return;
   }
-  // Unaligned stride: lines of neighbouring bases share words, so chunks of
-  // base ranks (axis coordinate 0) fill shards.
-  const std::size_t block = stride * n;
+  // Lines of neighbouring bases share words, so chunks of base ranks (axis
+  // coordinate 0) fill shards.
   const std::size_t bases = total / n;
-  FillSharded(
-      pool, bases, ChunkGrain(bases, total, Lanes(pool), 2), out,
-      [&](DynamicBitset& dst, std::size_t begin, std::size_t end) {
-        std::size_t major = begin / stride * block;
-        std::size_t minor = begin % stride;
-        for (std::size_t b = begin; b < end; ++b) {
-          const std::size_t base = major + minor;
-          bool hit = kForAll;
-          for (std::size_t v = 0; v < n; ++v) {
-            if (in.Test(base + v * stride) != kForAll) {
-              hit = !kForAll;
-              break;
+  const std::size_t grain = ChunkGrain(bases, total, Lanes(pool), 2);
+  if (stride == 1) {
+    // The line through base b is the n consecutive bits from b * n on: one
+    // masked test and one fill per word of it.
+    FillSharded(
+        pool, bases, grain, out,
+        [&](DynamicBitset& dst, std::size_t begin, std::size_t end) {
+          for (std::size_t b = begin; b < end; ++b) {
+            const std::size_t line = b * n;
+            bool hit = kForAll;
+            for (std::size_t i = 0; i < n && hit == kForAll; i += 64) {
+              const std::size_t len = std::min<std::size_t>(64, n - i);
+              const uint64_t word = in.ReadBits(line + i, len);
+              if (kForAll ? word != DynamicBitset::LowBits(len) : word != 0) {
+                hit = !kForAll;
+              }
+            }
+            if (!hit) continue;
+            for (std::size_t i = 0; i < n; i += 64) {
+              dst.OrBits(line + i,
+                         DynamicBitset::LowBits(std::min<std::size_t>(64, n - i)));
             }
           }
-          if (hit) {
-            for (std::size_t v = 0; v < n; ++v) dst.Set(base + v * stride);
+        });
+    return;
+  }
+  // Any other stride: for each axis value, the lines through a run of
+  // consecutive bases of one block pass through consecutive bits, so a run
+  // of up to 64 bases costs one unaligned word read per axis value, one
+  // AND/OR each, and one word write per axis value. Runs stop at the
+  // stride (the block's next axis value) and at the chunk end.
+  const std::size_t block = stride * n;
+  FillSharded(
+      pool, bases, grain, out,
+      [&](DynamicBitset& dst, std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end;) {
+          const std::size_t minor = b % stride;
+          const std::size_t base = b / stride * block + minor;
+          const std::size_t len =
+              std::min({std::size_t{64}, stride - minor, end - b});
+          uint64_t acc = kForAll ? DynamicBitset::LowBits(len) : 0;
+          for (std::size_t v = 0; v < n; ++v) {
+            const uint64_t word = in.ReadBits(base + v * stride, len);
+            acc = kForAll ? acc & word : acc | word;
           }
-          if (++minor == stride) {
-            minor = 0;
-            major += block;
+          if (acc != 0) {
+            for (std::size_t v = 0; v < n; ++v) dst.OrBits(base + v * stride, acc);
           }
+          b += len;
         }
       });
 }
@@ -245,6 +255,8 @@ AssignmentSet AssignmentSet::Remap(const std::vector<std::size_t>& targets,
                                    const std::vector<std::size_t>& sources,
                                    ThreadPool* pool) const {
   assert(targets.size() == sources.size());
+  // No coordinate (k = 0, so no targets) or no assignment: nothing moves.
+  if (num_vars() == 0 || indexer_.NumTuples() == 0) return *this;
   // The rank read for output rank r is linear in r's digits:
   // read(r) = sum_c d_c(r) * w_c, where w_c is stride_c for a coordinate
   // that is not a target, 0 for a target, plus stride_t for each target t
@@ -256,22 +268,45 @@ AssignmentSet AssignmentSet::Remap(const std::vector<std::size_t>& targets,
     weights[sources[j]] += indexer_.Stride(targets[j]);
   }
   AssignmentSet out(domain_size(), num_vars());
+  const std::size_t n = domain_size();
   const std::size_t total = indexer_.NumTuples();
-  uint64_t* words = out.bits_.word_data();
-  // Word-aligned output chunks assemble whole words: reads go anywhere,
-  // writes stay inside the chunk's own words.
+  // Output lines of n bits along coordinate 0. The line with digits
+  // d_1..d_{k-1} reads from base(line) = sum_{c >= 1} d_c * w_c, and its
+  // bit d_0 from base(line) + d_0 * w_0, so w_0 sets how a line is read:
+  // w_0 = 1 is a shifted word copy (the identity remap among them), w_0 = 0
+  // broadcasts one source bit to the whole line, and any other w_0 gathers
+  // one bit per output bit at that stride.
+  const std::size_t w0 = weights[0];
+  const std::vector<std::size_t> line_weights(weights.begin() + 1,
+                                              weights.end());
+  // Word-aligned output chunks: a chunk starts and ends lines anywhere, but
+  // writes only its own words, whatever its lines read.
   ForEachChunk(
       pool, total, BitGrain(total, Lanes(pool)),
       [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-        RadixWalker read(domain_size(), weights);
-        read.Seek(begin);
-        for (std::size_t w = begin; w < end; w += 64) {
-          const std::size_t bits = std::min<std::size_t>(64, end - w);
-          uint64_t word = 0;
-          for (std::size_t i = 0; i < bits; ++i, read.Next()) {
-            word |= static_cast<uint64_t>(bits_.Test(read.value())) << i;
+        RadixWalker line(n, line_weights);
+        line.Seek(begin / n);
+        for (std::size_t pos = begin; pos < end; line.Next()) {
+          const std::size_t d0 = pos % n;
+          const std::size_t len = std::min(n - d0, end - pos);
+          const std::size_t read = line.value() + d0 * w0;
+          const bool broadcast = w0 == 0 && bits_.Test(read);
+          for (std::size_t i = 0; i < len; i += 64) {
+            const std::size_t m = std::min<std::size_t>(64, len - i);
+            uint64_t word = 0;
+            if (w0 == 1) {
+              word = bits_.ReadBits(read + i, m);
+            } else if (broadcast) {
+              word = DynamicBitset::LowBits(m);
+            } else if (w0 != 0) {
+              for (std::size_t j = 0; j < m; ++j) {
+                word |= static_cast<uint64_t>(bits_.Test(read + (i + j) * w0))
+                        << j;
+              }
+            }
+            if (word != 0) out.bits_.OrBits(pos + i, word);
           }
-          words[w / 64] = word;
+          pos += len;
         }
       });
   return out;
@@ -327,8 +362,6 @@ ProjectedAnswer AssignmentSet::Project(
   RadixWalker write(n, write_weights);
   const std::size_t line_words = (n + 63) / 64;
   std::vector<uint64_t> line(line_words);
-  const uint64_t* src = bits_.word_data();
-  uint64_t* dst = out.bits_.word_data();
   const std::size_t step = weight[0];
   const std::size_t lines = indexer_.NumTuples() / n;
   for (std::size_t l = 0; l < lines; l += group) {
@@ -337,8 +370,8 @@ ProjectedAnswer AssignmentSet::Project(
     std::fill(line.begin(), line.end(), 0);
     for (std::size_t g = 0; g < group; ++g, read.Next(), write.Next()) {
       for (std::size_t i = 0; i < line_words; ++i) {
-        const uint64_t word = ReadBits(src, read.value() + 64 * i,
-                                       std::min<std::size_t>(64, n - 64 * i));
+        const uint64_t word = bits_.ReadBits(
+            read.value() + 64 * i, std::min<std::size_t>(64, n - 64 * i));
         line[i] |= word;
         any |= word;
       }
@@ -350,7 +383,7 @@ ProjectedAnswer AssignmentSet::Project(
     }
     for (std::size_t i = 0; i < line_words; ++i) {
       if (step == 1) {
-        OrBits(dst, base + 64 * i, line[i]);
+        out.bits_.OrBits(base + 64 * i, line[i]);
         continue;
       }
       for (uint64_t word = line[i]; word != 0; word &= word - 1) {

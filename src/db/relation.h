@@ -1,6 +1,7 @@
 #ifndef BVQ_DB_RELATION_H_
 #define BVQ_DB_RELATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -116,7 +117,12 @@ class RelationBuilder {
   explicit RelationBuilder(std::size_t arity) : arity_(arity) {}
 
   void Add(const Value* t) {
-    data_.insert(data_.end(), t, t + arity_);
+    // An arity-0 row has no values, and `t` may be null.
+    if (arity_ > 0) {
+      const std::size_t old = data_.size();
+      data_.resize(old + arity_);
+      std::copy_n(t, arity_, data_.data() + old);
+    }
     ++num_rows_;
   }
   void Add(const Tuple& t) {

@@ -23,11 +23,14 @@ class BlockLayout {
       : n_(idx.domain_size()) {
     std::vector<bool> is_bound(idx.arity(), false);
     for (std::size_t v : bound) is_bound[v] = true;
+    // With x1 bound a slice is made of lines of n consecutive bits along
+    // coordinate 0; otherwise its bits are all apart.
+    run_ = idx.arity() > 0 && is_bound[0] ? n_ : 1;
     num_blocks_ = 1;
     slice_size_ = 1;
     for (std::size_t j = 0; j < idx.arity(); ++j) {
       if (is_bound[j]) {
-        bound_strides_.push_back(idx.Stride(j));
+        if (j > 0) bound_strides_.push_back(idx.Stride(j));
         slice_size_ *= n_;
       } else {
         param_strides_.push_back(idx.Stride(j));
@@ -38,61 +41,78 @@ class BlockLayout {
 
   std::size_t num_blocks() const { return num_blocks_; }
 
-  // FNV hash of a block's slice of `set`.
+  // FNV hash of a block's slice of `set`, over its bits packed 64 to a
+  // word in slice order.
   uint64_t SliceHash(const AssignmentSet& set, std::size_t block) const {
     uint64_t h = 1469598103934665603ull;
     uint64_t word = 0;
-    int nbits = 0;
-    RadixWalker w = SliceWalker(block);
-    for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      word = (word << 1) | (set.Test(w.value()) ? 1 : 0);
-      if (++nbits == 64) {
-        h ^= word;
-        h *= 1099511628211ull;
-        word = 0;
-        nbits = 0;
-      }
-    }
-    if (nbits > 0) {
-      h ^= word;
+    std::size_t fill = 0;  // bits of `word` taken, < 64
+    auto mix = [&](uint64_t w) {
+      h ^= w;
       h *= 1099511628211ull;
-    }
+    };
+    ForEachPiece(block, [&](std::size_t pos, std::size_t len) {
+      const uint64_t bits = set.bits().ReadBits(pos, len);
+      word |= bits << fill;
+      if (fill + len < 64) {
+        fill += len;
+      } else {
+        mix(word);
+        word = fill == 0 ? 0 : bits >> (64 - fill);
+        fill = fill + len - 64;
+      }
+      return true;
+    });
+    if (fill > 0) mix(word);
     return h;
   }
 
   bool SlicesEqual(const AssignmentSet& a, const AssignmentSet& b,
                    std::size_t block) const {
-    RadixWalker w = SliceWalker(block);
-    for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      if (a.Test(w.value()) != b.Test(w.value())) return false;
-    }
-    return true;
+    return ForEachPiece(block, [&](std::size_t pos, std::size_t len) {
+      return a.bits().ReadBits(pos, len) == b.bits().ReadBits(pos, len);
+    });
   }
 
+  // Copies a block's slice of `from` into `to`, where that slice is empty.
   void CopySlice(const AssignmentSet& from, AssignmentSet& to,
                  std::size_t block) const {
-    RadixWalker w = SliceWalker(block);
-    for (std::size_t s = 0; s < slice_size_; ++s, w.Next()) {
-      to.mutable_bits().Assign(w.value(), from.Test(w.value()));
-    }
+    ForEachPiece(block, [&](std::size_t pos, std::size_t len) {
+      to.mutable_bits().OrBits(pos, from.bits().ReadBits(pos, len));
+      return true;
+    });
   }
 
  private:
-  // Visits the global ranks of `block`'s slice positions in order: one
-  // div/mod chain for the block's base rank, then a stride walk over the
-  // bound coordinates.
-  RadixWalker SliceWalker(std::size_t block) const {
+  // Calls fn(pos, len) for the pieces of at most 64 consecutive bits that
+  // `block`'s slice is made of, in slice order, until fn returns false.
+  // Returns false iff fn did. One div/mod chain finds the block's base
+  // rank; a stride walk over the bound coordinates past x1 visits its
+  // runs.
+  template <typename Fn>
+  bool ForEachPiece(std::size_t block, const Fn& fn) const {
+    if (slice_size_ == 0) return true;
     std::size_t base = 0;
     for (std::size_t stride : param_strides_) {
       base += (block % n_) * stride;
       block /= n_;
     }
-    RadixWalker w(n_, bound_strides_);
-    w.Seek(0, base);
-    return w;
+    RadixWalker run(n_, bound_strides_);
+    run.Seek(0, base);
+    do {
+      for (std::size_t i = 0; i < run_; i += 64) {
+        if (!fn(run.value() + i, std::min<std::size_t>(64, run_ - i))) {
+          return false;
+        }
+      }
+    } while (run.Next());
+    return true;
   }
 
   std::size_t n_;
+  std::size_t run_;  // bits per run: n with x1 bound, else 1
+  // Strides of the bound coordinates a run walk steps over (x1 excluded,
+  // since a run covers it when it is bound).
   std::vector<std::size_t> bound_strides_;
   std::vector<std::size_t> param_strides_;
   std::size_t num_blocks_;

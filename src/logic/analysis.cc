@@ -604,7 +604,7 @@ void FormulaIndex::InternClass(std::vector<uint64_t> key,
   // Every free predicate of a subtree of the root was interned by this
   // build, so each has a per-query id.
   Slot slot{facts->cls, interner_->class_hashes_[facts->cls], {}};
-  for (std::size_t pred : interner_->class_free_preds_[facts->cls]) {
+  for (std::size_t pred : *interner_->class_free_preds_[facts->cls]) {
     slot.free_preds.push_back(local_pred_.at(pred));
   }
   slots_.push_back(std::move(slot));
@@ -621,9 +621,9 @@ std::size_t FormulaInterner::InternClassLocked(
   auto [it, inserted] = classes_.emplace(std::move(key), class_hashes_.size());
   if (inserted) {
     class_hashes_.push_back(FnvHashWords(it->first));
-    class_free_preds_.push_back(std::move(free_preds));
+    class_free_preds_.push_back(
+        &*free_pred_lists_.insert(std::move(free_preds)).first);
     class_keys_.push_back(&it->first);
-    class_canons_.emplace_back();
   }
   return it->second;
 }
@@ -665,8 +665,8 @@ std::string FormulaInterner::CanonicalFormOf(std::size_t cls) {
 }
 
 void FormulaInterner::EncodeClassLocked(std::size_t cls, std::string* out) {
-  if (!class_canons_[cls].empty()) {
-    out->append(class_canons_[cls]);
+  if (auto memo = class_canons_.find(cls); memo != class_canons_.end()) {
+    out->append(memo->second);
     return;
   }
   std::string buf;
@@ -728,9 +728,10 @@ void FormulaInterner::EncodeClassLocked(std::size_t cls, std::string* out) {
       EncodeClassLocked(key[3], &buf);
       break;
   }
-  class_canons_[cls] = std::move(buf);
-  out->append(class_canons_[cls]);
-  canon_to_class_.emplace(class_canons_[cls], cls);
+  const std::string& canon =
+      class_canons_.emplace(cls, std::move(buf)).first->second;
+  out->append(canon);
+  canon_to_class_.emplace(canon, cls);
 }
 
 bool FormulaInterner::InternCanonical(std::string_view canon,
@@ -806,7 +807,7 @@ bool FormulaInterner::DecodeClassLocked(std::string_view canon,
       std::size_t sub = 0;
       if (!DecodeClassLocked(canon, pos, depth + 1, &sub)) return false;
       key.push_back(sub);
-      free_preds = class_free_preds_[sub];
+      free_preds = *class_free_preds_[sub];
       break;
     }
     case FormulaKind::kAnd:
@@ -819,7 +820,7 @@ bool FormulaInterner::DecodeClassLocked(std::string_view canon,
       key.push_back(lhs);
       key.push_back(rhs);
       free_preds =
-          UnionSorted(class_free_preds_[lhs], class_free_preds_[rhs]);
+          UnionSorted(*class_free_preds_[lhs], *class_free_preds_[rhs]);
       break;
     }
     case FormulaKind::kExists:
@@ -830,7 +831,7 @@ bool FormulaInterner::DecodeClassLocked(std::string_view canon,
       if (!DecodeClassLocked(canon, pos, depth + 1, &body)) return false;
       key.push_back(var);
       key.push_back(body);
-      free_preds = class_free_preds_[body];
+      free_preds = *class_free_preds_[body];
       break;
     }
     case FormulaKind::kFixpoint: {
@@ -863,7 +864,7 @@ bool FormulaInterner::DecodeClassLocked(std::string_view canon,
       if (!DecodeClassLocked(canon, pos, depth + 1, &body)) return false;
       key.push_back(body);
       key.insert(key.end(), applies.begin(), applies.end());
-      free_preds = EraseSorted(class_free_preds_[body], pred);
+      free_preds = EraseSorted(*class_free_preds_[body], pred);
       break;
     }
     case FormulaKind::kSecondOrderExists: {
@@ -876,7 +877,7 @@ bool FormulaInterner::DecodeClassLocked(std::string_view canon,
       key.push_back(pred);
       key.push_back(arity);
       key.push_back(body);
-      free_preds = EraseSorted(class_free_preds_[body], pred);
+      free_preds = EraseSorted(*class_free_preds_[body], pred);
       break;
     }
   }
@@ -889,8 +890,8 @@ std::vector<std::string> FormulaInterner::FreePredNames(
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
   if (cls >= class_free_preds_.size()) return out;
-  out.reserve(class_free_preds_[cls].size());
-  for (std::size_t p : class_free_preds_[cls]) out.push_back(pred_names_[p]);
+  out.reserve(class_free_preds_[cls]->size());
+  for (std::size_t p : *class_free_preds_[cls]) out.push_back(pred_names_[p]);
   return out;
 }
 
@@ -928,7 +929,7 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
     case FormulaKind::kNot: {
       const NodeFacts sub = Visit(static_cast<const NotFormula&>(*f).sub());
       key.push_back(sub.cls);
-      InternClass(std::move(key), interner_->class_free_preds_[sub.cls],
+      InternClass(std::move(key), *interner_->class_free_preds_[sub.cls],
                   &facts);
       break;
     }
@@ -942,8 +943,8 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       key.push_back(lhs.cls);
       key.push_back(rhs.cls);
       InternClass(std::move(key),
-                  UnionSorted(interner_->class_free_preds_[lhs.cls],
-                              interner_->class_free_preds_[rhs.cls]),
+                  UnionSorted(*interner_->class_free_preds_[lhs.cls],
+                              *interner_->class_free_preds_[rhs.cls]),
                   &facts);
       break;
     }
@@ -953,7 +954,7 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       const NodeFacts body = Visit(q.body());
       key.push_back(q.var());
       key.push_back(body.cls);
-      InternClass(std::move(key), interner_->class_free_preds_[body.cls],
+      InternClass(std::move(key), *interner_->class_free_preds_[body.cls],
                   &facts);
       break;
     }
@@ -968,7 +969,7 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       key.push_back(body.cls);
       for (std::size_t v : fp.apply_args()) key.push_back(v);
       InternClass(std::move(key),
-                  EraseSorted(interner_->class_free_preds_[body.cls], pred),
+                  EraseSorted(*interner_->class_free_preds_[body.cls], pred),
                   &facts);
       break;
     }
@@ -980,7 +981,7 @@ FormulaIndex::NodeFacts FormulaIndex::Visit(const FormulaPtr& f) {
       key.push_back(so.arity());
       key.push_back(body.cls);
       InternClass(std::move(key),
-                  EraseSorted(interner_->class_free_preds_[body.cls], pred),
+                  EraseSorted(*interner_->class_free_preds_[body.cls], pred),
                   &facts);
       break;
     }

@@ -143,12 +143,16 @@ class FormulaInterner {
   std::unordered_map<std::string, std::size_t> pred_ids_;
   std::deque<std::string> pred_names_;
   std::unordered_map<std::vector<uint64_t>, std::size_t, KeyHash> classes_;
-  std::deque<std::vector<std::size_t>> class_free_preds_;
+  // Distinct free-predicate lists, one node each (set nodes never move);
+  // classes point into it, since far fewer lists than classes occur.
+  std::set<std::vector<std::size_t>> free_pred_lists_;
+  std::deque<const std::vector<std::size_t>*> class_free_preds_;
   std::deque<uint64_t> class_hashes_;
   // Per-class pointer back to the exact key (the map node's key storage is
   // stable under rehash), for the canonical-form encoder.
   std::deque<const std::vector<uint64_t>*> class_keys_;
-  std::deque<std::string> class_canons_;  // lazy memo; "" = not yet encoded
+  // Lazy memo of the canonical forms encoded so far, by class id.
+  std::unordered_map<std::size_t, std::string> class_canons_;
   std::unordered_map<std::string, std::size_t> canon_to_class_;
 };
 

@@ -4,7 +4,8 @@
 #
 #   bench_record_test.sh smoke <bench> <out> [flags...]
 #       The bench, run with --out=<out>, must exit 0 (every gate held) and
-#       leave a record that parses as JSON.
+#       leave a record that parses as JSON, whose config.out is the file's
+#       base name (no directory).
 #   bench_record_test.sh rejects <bench> [flags...]
 #       The bench must exit 1 with a usage line on stderr.
 set -euo pipefail
@@ -25,7 +26,10 @@ case $mode in
     rm -f "$out"
     "$bench" --out="$out" "$@" || fail "$bench exited with $?"
     python3 -m json.tool "$out" > /dev/null || fail "$out does not parse"
-    echo "record $out written and parses"
+    recorded=$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["config"]["out"])' "$out")
+    [[ "$recorded" != */* ]] || fail "config.out is a path: $recorded"
+    echo "record $out written and parses; config.out is $recorded"
     ;;
   rejects)
     rc=0

@@ -12,11 +12,16 @@
 #       must be ok, come out in id order, and carry a payload byte-identical
 #       to the direct printout. A `serve` line answering `err`, or a result
 #       block answering `error`, must fail the shell.
+#   bvqsh_test.sh cold <bvqsh> <cold_script.py>
+#       The seed-1 cold_fixpoints stream (4 rounds: 24 queries at domain
+#       48) runs at threads 1 and 4, each with the answer cache on and off.
+#       The answer lines (counts and rows, stats dropped) must be
+#       byte-identical across the four runs.
 #
 # Run from the repo root (the scripts load data/*.bvq).
 set -euo pipefail
 
-mode=${1:?usage: bvqsh_test.sh strict|serve <bvqsh> <script>}
+mode=${1:?usage: bvqsh_test.sh strict|serve|cold <bvqsh> <script>}
 bvqsh=${2:?missing bvqsh path}
 script=${3:?missing script path}
 tmp=$(mktemp -d)
@@ -68,6 +73,28 @@ case $mode in
     grep -q '^error: serve eval 1 e .*: result 1 error ParseError' \
         "$tmp/bad.err" || fail "error block not reported: $(cat "$tmp/bad.err")"
     echo "$n served payloads byte-identical, in order; err answers fail"
+    ;;
+  cold)
+    python3 "$script" 1 4 > "$tmp/cold.bvqsh"
+    grep -qx 'threads 1' "$tmp/cold.bvqsh" &&
+        grep -qx 'cache on' "$tmp/cold.bvqsh" ||
+        fail "the cold script sets no 'threads 1' and 'cache on' lines"
+    for threads in 1 4; do
+      for cache in on off; do
+        run=threads$threads.cache_$cache
+        sed -e "s/^threads 1$/threads $threads/" \
+            -e "s/^cache on$/cache $cache/" "$tmp/cold.bvqsh" > "$tmp/$run.bvqsh"
+        "$bvqsh" "$tmp/$run.bvqsh" > "$tmp/$run.out" || fail "$run: exit status $?"
+        # Answers: the count line and its rows; stats lines lead with "  [".
+        grep -E '^  [0-9]+ tuple\(s\), arity [0-9]+$|^    ' "$tmp/$run.out" \
+            > "$tmp/$run.answers" || true
+        n=$(grep -c 'tuple(s)' "$tmp/$run.answers" || true)
+        [[ $n -eq 24 ]] || fail "$run: $n answers for 24 queries"
+        diff "$tmp/threads1.cache_on.answers" "$tmp/$run.answers" >&2 ||
+            fail "$run answers differ from threads 1, cache on"
+      done
+    done
+    echo "24 cold answers byte-identical at threads 1 and 4, cache on and off"
     ;;
   *)
     fail "unknown mode"

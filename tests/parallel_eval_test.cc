@@ -18,6 +18,7 @@
 #include "db/assignment_set.h"
 #include "db/generators.h"
 #include "eval/bounded_eval.h"
+#include "eval/reference_eval.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
 #include "logic/random_formula.h"
@@ -119,13 +120,17 @@ AssignmentSet PerRank(std::size_t n, std::size_t k, const Member& member) {
 // from the definitions, at pool null (parameter 0) and at 1, 2, 4 and 8
 // lanes. The shapes put some strides on multiples of 64 (the word-slab
 // quantifier sweep), keep n = 17 off every word boundary, and sit at or
-// above the 4,096-bit floor so the multi-lane pools really split.
+// above the 4,096-bit floor so the multi-lane pools really split. (48, 3)
+// is the served cold shape: runs of 48 bases clipped at stride 48 and a
+// 2,304-bit slab. (70, 2) has lines longer than a word (stride 1 and remap
+// lines of 70 bits over two or three words) and runs clipped at a stride
+// above 64.
 class KernelDeterminism : public ::testing::TestWithParam<std::size_t> {
  protected:
   ThreadPool* pool() { return pool_.get(); }
 
   const std::vector<std::pair<std::size_t, std::size_t>> shapes_ = {
-      {17, 3}, {32, 3}, {64, 2}};
+      {17, 3}, {32, 3}, {64, 2}, {48, 3}, {70, 2}};
 
  private:
   std::unique_ptr<ThreadPool> pool_ =
@@ -304,6 +309,43 @@ TEST(ParallelEvalTest, FloydPfpIsDeterministicAcrossThreadCounts) {
                                          PfpCycleDetection::kFloyd, 10, 17, 17,
                                          525252),
             0u);
+}
+
+// PFP slices at a domain above 64, against the definitional reference and
+// across lane counts, in both cycle-detection modes. Per block a, both
+// bodies step S -> E(a,.) | (P & !S(a)), so a block converges to E(a,.),
+// cycles (empty) or converges to E(a,.) | P. With x1 bound a slice is one
+// line of 70 bits along coordinate 0; with x2 bound its bits are 70 apart.
+TEST(ParallelEvalTest, PfpSlicesAboveOneWordMatchReference) {
+  const std::size_t n = 70;
+  Rng rng(616161);
+  Database db(n);
+  ASSERT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.1, rng)).ok());
+  ASSERT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
+  for (const char* text :
+       {"(x1,x2) [pfp X(x2) . E(x1,x2) | (P(x2) & !X(x1))](x2)",
+        "(x1,x2) [pfp X(x1) . E(x2,x1) | (P(x1) & !X(x2))](x1)"}) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    auto expected = ReferenceEvaluator(db, 2).EvaluateQuery(*query);
+    ASSERT_TRUE(expected.ok()) << text;
+    // Every kind of block occurs, so neither detector is tested vacuously.
+    EXPECT_GT(expected->size(), 0u) << text;
+    EXPECT_LT(expected->size(), n * n) << text;
+    for (PfpCycleDetection pfp :
+         {PfpCycleDetection::kHashHistory, PfpCycleDetection::kFloyd}) {
+      for (std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}, std::size_t{8}}) {
+        BoundedEvalOptions options;
+        options.pfp_cycle_detection = pfp;
+        options.num_threads = lanes;
+        BoundedEvaluator eval(db, 2, options);
+        auto got = eval.EvaluateQuery(*query);
+        ASSERT_TRUE(got.ok()) << text;
+        EXPECT_EQ(*got, *expected) << text << ", " << lanes << " lanes";
+      }
+    }
+  }
 }
 
 // --- checked sizing helpers -------------------------------------------------------
